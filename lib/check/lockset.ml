@@ -16,10 +16,22 @@
    at a grant then means two attempts genuinely held incompatible
    locks at once.
 
-   The checker is single-pass and incremental by construction: all
-   state is the shadow table itself, whose size is bounded by the
-   locks concurrently held plus the address working set — never by
-   the run length — so the streaming checker feeds it directly.
+   The checker is single-pass and incremental by construction: its
+   state is the shadow table plus a per-core index of the addresses
+   granted to each core since its locks were last dropped, bounded
+   by the locks concurrently held plus the address working set —
+   never by the run length — so the streaming checker feeds it
+   directly. Dropping a core's locks (at every attempt start, publish
+   and end) walks only that core's index, never the whole table. The
+   index may repeat an address (a read upgraded to a write, an
+   elastic read released and re-granted) or name one the core no
+   longer holds (a revoked entry, a doomed holder's write entry
+   overwritten by another core's grant), so a drop frees a read entry
+   only if the core is among its readers and a write entry only if
+   the core still owns it: it never frees another core's lock. Every
+   lock a core holds was granted after its last drop, so the index
+   covers them all; drops emit nothing, so their order is
+   unobservable.
 
    Rules enforced, in replay (sequence) order:
 
@@ -84,6 +96,9 @@ type t = {
      lock. A core may hold both (read-to-write upgrade). *)
   rlocks : (Types.addr, Types.core_id list) Hashtbl.t;
   wlocks : (Types.addr, Types.core_id) Hashtbl.t;
+  (* core -> addresses granted to it since its last drop, a superset
+     of those it holds (may repeat, may be stale). *)
+  held : (Types.core_id, Types.addr list) Hashtbl.t;
   (* Failover epoch the current write lock on an address was granted
      in; [cur_epoch] follows the [Epoch_bumped] events. (Epochs are
      per partition in the protocol, but a write lock never moves
@@ -106,6 +121,7 @@ let create () =
     seq = 0;
     rlocks = Hashtbl.create 512;
     wlocks = Hashtbl.create 512;
+    held = Hashtbl.create 64;
     wepoch = Hashtbl.create 512;
     cur_epoch = 0;
     live = Hashtbl.create 64;
@@ -126,28 +142,36 @@ let doomed t core =
   | Some l -> l.l_doomed
   | None -> false
 
+let record t core addr =
+  let l = match Hashtbl.find_opt t.held core with Some l -> l | None -> [] in
+  Hashtbl.replace t.held core (addr :: l)
+
 let add_reader t addr core =
-  if not (List.mem core (readers t addr)) then
-    Hashtbl.replace t.rlocks addr (core :: readers t addr)
+  let rs = readers t addr in
+  if not (List.mem core rs) then begin
+    Hashtbl.replace t.rlocks addr (core :: rs);
+    record t core addr
+  end
 
 let drop_reader t addr core =
-  match List.filter (fun c -> c <> core) (readers t addr) with
-  | [] -> Hashtbl.remove t.rlocks addr
-  | l -> Hashtbl.replace t.rlocks addr l
+  let rs = readers t addr in
+  if List.mem core rs then
+    match List.filter (fun c -> c <> core) rs with
+    | [] -> Hashtbl.remove t.rlocks addr
+    | l -> Hashtbl.replace t.rlocks addr l
 
 let drop_core_locks t core =
-  let held_r =
-    Tm2c_engine.Det.fold
-      (fun a cs acc -> if List.mem core cs then a :: acc else acc)
-      t.rlocks []
-  in
-  List.iter (fun a -> drop_reader t a core) held_r;
-  let held_w =
-    Tm2c_engine.Det.fold
-      (fun a c acc -> if c = core then a :: acc else acc)
-      t.wlocks []
-  in
-  List.iter (fun a -> Hashtbl.remove t.wlocks a) held_w
+  match Hashtbl.find_opt t.held core with
+  | None -> ()
+  | Some addrs ->
+      Hashtbl.remove t.held core;
+      List.iter
+        (fun a ->
+          drop_reader t a core;
+          match Hashtbl.find_opt t.wlocks a with
+          | Some w when w = core -> Hashtbl.remove t.wlocks a
+          | Some _ | None -> ())
+        addrs
 
 let feed t time ev =
   let seq = t.seq in
@@ -222,6 +246,7 @@ let feed t time ev =
                     core addr r)
             (readers t addr);
           Hashtbl.replace t.wlocks addr core;
+          record t core addr;
           Hashtbl.replace t.wepoch addr t.cur_epoch)
         addrs
   | Event.Rlock_released { core; addr } ->

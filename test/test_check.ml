@@ -256,23 +256,24 @@ let contains s sub =
 (* Lockset mutation: a DS server that double-releases a write lock
    would be able to grant it to a second writer while the first still
    holds it. Simulate the aftermath by injecting a conflicting
-   [Wlock_granted] right after a real one in an otherwise clean
+   [Wlock_granted] right after every real one in an otherwise clean
    stream; the protocol checker must reject with a witness naming the
    exclusivity breach. *)
+let double_wlock_grants events =
+  List.concat_map
+    (fun (time, ev) ->
+      match ev with
+      | Event.Wlock_granted { core; addrs } when addrs <> [] ->
+          let enemy = if core = 1 then 3 else 1 in
+          [ (time, ev); (time, Event.Wlock_granted { core = enemy; addrs }) ]
+      | _ -> [ (time, ev) ])
+    events
+
 let test_mutation_double_wlock_grant_caught () =
   let events = collect_counter ~per_core:10 () in
   check "unmutated stream is clean" true
     (Lockset.ok (Lockset.analyze (Check.iter_of_list events)));
-  let mutated =
-    List.concat_map
-      (fun (time, ev) ->
-        match ev with
-        | Event.Wlock_granted { core; addrs } when addrs <> [] ->
-            let enemy = if core = 1 then 3 else 1 in
-            [ (time, ev); (time, Event.Wlock_granted { core = enemy; addrs }) ]
-        | _ -> [ (time, ev) ])
-      events
-  in
+  let mutated = double_wlock_grants events in
   let r = Lockset.analyze (Check.iter_of_list mutated) in
   check "double grant rejected" false (Lockset.ok r);
   check "witness names the exclusivity breach" true
@@ -349,6 +350,173 @@ let test_histlog_v1_header_accepted () =
       close_out oc;
       check "v1 header accepted" true (Histlog.load path = events))
 
+(* ------------------------------------------------------------------ *)
+(* Lockset held-lock index.                                            *)
+(* ------------------------------------------------------------------ *)
+
+let lockset_of events = Lockset.analyze (Check.iter_of_list events)
+
+let messages r = List.map (fun v -> v.Lockset.v_message) r.Lockset.violations
+
+let seq_events evs = List.mapi (fun i ev -> (float_of_int (i + 1), ev)) evs
+
+(* Core 1 holds the write lock on X and is doomed by an enemy abort on
+   Y; core 3 is granted X over core 1's stale entry. Core 1's index
+   still names X, but its abort must not free core 3's lock: core 5's
+   later grant on X is an exclusivity violation. *)
+let test_index_keeps_overwritten_wlock () =
+  let x = 100 and y = 101 in
+  let r =
+    lockset_of
+      (seq_events
+         [
+           Event.Tx_start { core = 1; attempt = 1; elastic = false };
+           Event.Tx_start { core = 3; attempt = 1; elastic = false };
+           Event.Tx_read { core = 1; addr = y; granted = true; value = 0 };
+           Event.Tx_write { core = 1; addr = x; value = 1 };
+           Event.Wlock_granted { core = 1; addrs = [ x ] };
+           Event.Enemy_aborted
+             {
+               server = 2;
+               winner = 3;
+               victim = 1;
+               addr = y;
+               conflict = Types.War;
+             };
+           Event.Wlock_granted { core = 3; addrs = [ y; x ] };
+           Event.Tx_aborted { core = 1; attempt = 1; conflict = None };
+           Event.Tx_start { core = 5; attempt = 1; elastic = false };
+           Event.Wlock_granted { core = 5; addrs = [ x ] };
+         ])
+  in
+  Alcotest.(check (list string))
+    "only core 5's grant over core 3 is a violation"
+    [ "write-lock grant to core 5 on addr 100 while core 3 holds the write lock" ]
+    (messages r);
+  check_int "grants" 5 r.Lockset.n_grants
+
+(* An elastic read released and re-granted in the same attempt leaves
+   a duplicate in the index: the lock is held again until the
+   attempt's end, and dropped cleanly there. *)
+let test_index_elastic_regrant () =
+  let x = 100 in
+  let prefix =
+    [
+      Event.Tx_start { core = 1; attempt = 1; elastic = true };
+      Event.Tx_read { core = 1; addr = x; granted = true; value = 0 };
+      Event.Rlock_released { core = 1; addr = x };
+      Event.Tx_read { core = 1; addr = x; granted = true; value = 0 };
+    ]
+  and grant = [ Event.Wlock_granted { core = 3; addrs = [ x ] } ]
+  and finish =
+    [
+      Event.Tx_commit_begin { core = 1; attempt = 1; n_writes = 0 };
+      Event.Tx_publish { core = 1; attempt = 1; n_writes = 0 };
+      Event.Tx_committed { core = 1; attempt = 1; duration_ns = 4.0 };
+    ]
+  in
+  Alcotest.(check (list string))
+    "re-granted read is held until the end"
+    [ "write-lock grant to core 3 on addr 100 while core 1 holds a read lock" ]
+    (messages (lockset_of (seq_events (prefix @ grant))));
+  let r = lockset_of (seq_events (prefix @ finish @ grant)) in
+  Alcotest.(check (list string)) "dropped cleanly at the end" [] (messages r);
+  check_int "grants" 3 r.Lockset.n_grants
+
+(* A blind write (no prior read of the address) is indexed by its
+   write grant alone and released at the publish point. The workload
+   shapes never produce one: their writes are read-modify-writes, so
+   a read grant would index the address anyway. *)
+let test_index_blind_write_released () =
+  let x = 100 in
+  let r =
+    lockset_of
+      (seq_events
+         [
+           Event.Tx_start { core = 1; attempt = 1; elastic = false };
+           Event.Tx_write { core = 1; addr = x; value = 1 };
+           Event.Tx_commit_begin { core = 1; attempt = 1; n_writes = 1 };
+           Event.Wlock_granted { core = 1; addrs = [ x ] };
+           Event.Tx_publish { core = 1; attempt = 1; n_writes = 1 };
+           Event.Tx_start { core = 3; attempt = 1; elastic = false };
+           Event.Tx_read { core = 3; addr = x; granted = true; value = 1 };
+           Event.Tx_committed { core = 1; attempt = 1; duration_ns = 3.0 };
+         ])
+  in
+  Alcotest.(check (list string)) "released at publish" [] (messages r)
+
+(* Crash-stop releases nothing: a crashed core's read and write locks
+   stay held, so grants over them are violations. *)
+let test_index_crashed_core_holds () =
+  let x = 100 and y = 101 in
+  let r =
+    lockset_of
+      (seq_events
+         [
+           Event.Tx_start { core = 1; attempt = 1; elastic = false };
+           Event.Tx_read { core = 1; addr = x; granted = true; value = 0 };
+           Event.Tx_write { core = 1; addr = y; value = 1 };
+           Event.Wlock_granted { core = 1; addrs = [ y ] };
+           Event.Core_crashed { core = 1; attempt = 1 };
+           Event.Tx_start { core = 3; attempt = 1; elastic = false };
+           Event.Wlock_granted { core = 3; addrs = [ x ] };
+           Event.Tx_read { core = 3; addr = y; granted = true; value = 0 };
+         ])
+  in
+  Alcotest.(check (list string))
+    "both of the crashed core's locks still held"
+    [
+      "write-lock grant to core 3 on addr 100 while core 1 holds a read lock";
+      "read grant to core 3 on addr 101 while core 1 holds the write lock";
+    ]
+    (messages r)
+
+(* Differential: the indexed lockset against the full-scan reference
+   ([Lockset_ref]) over the fuzz matrix — the six @check shapes x
+   seeds x the fault plans (index [n_plans] is the fault-free run). *)
+let lockset_differential_prop =
+  let open Tm2c_harness.Fuzz_matrix in
+  let shapes = Array.of_list shapes in
+  let plans = Array.of_list (plan_matrix ~smoke:false) in
+  let n_plans = Array.length plans in
+  QCheck.Test.make ~name:"indexed lockset = full-scan reference on fuzz runs"
+    ~count:40
+    QCheck.(
+      triple
+        (int_bound (Array.length shapes - 1))
+        (int_bound 999) (int_bound n_plans))
+    (fun (shape, seed, plan) ->
+      let sh = shapes.(shape) in
+      let plan = if plan = n_plans then None else Some plans.(plan) in
+      let _, events =
+        run_shape sh ~seed ~plan ~hardened:(plan <> None) ~collect:true
+      in
+      let iter = Check.iter_of_list events in
+      let got = Lockset.analyze iter and want = Lockset_ref.analyze iter in
+      if got = want then true
+      else
+        QCheck.Test.fail_reportf
+          "reports diverge on %s seed=%d plan=%s: %d vs %d grants, %d vs %d \
+           violations"
+          sh.sh_name seed
+          (match plan with
+          | Some p -> Tm2c_noc.Fault.to_spec p
+          | None -> "none")
+          got.Lockset.n_grants want.Lockset.n_grants
+          (List.length got.Lockset.violations)
+          (List.length want.Lockset.violations))
+
+(* The same differential on a stream with violations: the double
+   write-grant mutation. *)
+let test_lockset_differential_mutation () =
+  let events = collect_counter ~per_core:10 () in
+  let mutated = double_wlock_grants events in
+  let iter = Check.iter_of_list mutated in
+  let got = Lockset.analyze iter in
+  check "mutation rejected" false (Lockset.ok got);
+  check "report equals the full-scan reference" true
+    (got = Lockset_ref.analyze iter)
+
 let test_liveness_budget () =
   (* Synthetic starving core: [budget] consecutive aborts trip the
      monitor; one fewer stays clean. *)
@@ -399,6 +567,17 @@ let suite =
       test_histlog_fault_events_roundtrip;
     Alcotest.test_case "histlog accepts v1 header" `Quick
       test_histlog_v1_header_accepted;
+    Alcotest.test_case "lockset index: overwritten write lock kept" `Quick
+      test_index_keeps_overwritten_wlock;
+    Alcotest.test_case "lockset index: elastic re-grant" `Quick
+      test_index_elastic_regrant;
+    Alcotest.test_case "lockset index: blind write released" `Quick
+      test_index_blind_write_released;
+    Alcotest.test_case "lockset index: crashed core holds" `Quick
+      test_index_crashed_core_holds;
+    QCheck_alcotest.to_alcotest ~long:true lockset_differential_prop;
+    Alcotest.test_case "lockset differential: double write grant" `Quick
+      test_lockset_differential_mutation;
     Alcotest.test_case "liveness budget" `Quick test_liveness_budget;
     Alcotest.test_case "STATUS abort label" `Quick test_status_label;
   ]

@@ -47,25 +47,31 @@ let heap_sorted_prop =
       let drained = drain [] in
       drained = List.sort compare priorities)
 
-(* Model test: an op sequence against a stable-sorted association-list
-   oracle. Small integer priorities make ties frequent, so the
-   insertion-order (FIFO) tie-break is exercised, not just ordering. *)
+(* Model test: an op sequence against an ordered-map oracle keyed on
+   (priority, insertion seq), whose minimum is the earliest-pushed of
+   the lowest priority. Small integer priorities make ties frequent,
+   so the insertion-order (FIFO) tie-break is exercised, not just
+   ordering. *)
+module Oracle = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
 let heap_model_prop =
   QCheck.Test.make ~name:"heap matches sorted-list oracle (incl. FIFO ties)"
     ~count:300
     QCheck.(list (option (int_bound 5)))
     (fun ops ->
       let h = Heap.create () in
-      let model = ref [] in
+      let model = ref Oracle.empty in
       let seq = ref 0 in
       let ok = ref true in
       let pop_oracle () =
-        match
-          List.stable_sort (fun (p1, _) (p2, _) -> compare p1 p2) !model
-        with
-        | [] -> None
-        | ((_, s) as hd) :: _ ->
-            model := List.filter (fun (_, s') -> s' <> s) !model;
+        match Oracle.min_binding_opt !model with
+        | None -> None
+        | Some (hd, ()) ->
+            model := Oracle.remove hd !model;
             Some hd
       in
       let step op =
@@ -73,7 +79,7 @@ let heap_model_prop =
         | Some p ->
             let prio = float_of_int p in
             Heap.push h prio !seq;
-            model := !model @ [ (prio, !seq) ];
+            model := Oracle.add (prio, !seq) () !model;
             incr seq
         | None -> (
             match (Heap.pop_min h, pop_oracle ()) with
@@ -83,7 +89,7 @@ let heap_model_prop =
       in
       List.iter step ops;
       (* Drain both to catch divergence left in the remaining state. *)
-      while Heap.length h > 0 || !model <> [] do
+      while Heap.length h > 0 || not (Oracle.is_empty !model) do
         step None
       done;
       !ok)
