@@ -24,7 +24,8 @@ type report = {
 val default_waivers : Waiver.t list
 
 (** Roots [lib bench bin], determinism over [lib/], recv rule over
-    [lib/tm2c/], the three event exporters, {!default_waivers}. *)
+    [lib/tm2c/], the event codec ([lib/tm2c/event.ml]) as the one
+    exporter, {!default_waivers}. *)
 val default_config : config
 
 val run : config -> report

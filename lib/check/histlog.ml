@@ -6,7 +6,9 @@
    notation ("%h") so virtual times round-trip exactly — the checkers
    compare replayed instants for equality and a decimal detour would
    corrupt ties. The format is append-only and versioned by the
-   header line; tm2c-check refuses logs with an unknown header.
+   header line; tm2c-check refuses logs with an unknown header. The
+   record grammar (tags, field order, field kinds) is Event's codec
+   table; this module only renders and parses the field text.
 
    Writing and reading are both streaming: the writer appends one
    line per event as it arrives (fed straight from the trace sink)
@@ -35,77 +37,16 @@ let header_v1 = "# tm2c-history v1"
 
 let footer_prefix = "# events "
 
-let bool01 b = if b then "1" else "0"
-
-let conflict_of_string = function
-  | "RAW" -> Raw
-  | "WAW" -> Waw
-  | "WAR" -> War
-  | s -> failwith (Printf.sprintf "unknown conflict label %S" s)
-
-let conflict_opt_of_string = function
-  | "STATUS" -> None
-  | s -> Some (conflict_of_string s)
-
-let write_event oc time ev =
-  let p fmt = Printf.fprintf oc fmt in
-  p "%h " time;
-  (match ev with
-  | Event.Tx_start { core; attempt; elastic } ->
-      p "TXS %d %d %s" core attempt (bool01 elastic)
-  | Event.Tx_read { core; addr; granted; value } ->
-      p "TXR %d %d %s %d" core addr (bool01 granted) value
-  | Event.Tx_write { core; addr; value } -> p "TXW %d %d %d" core addr value
-  | Event.Tx_commit_begin { core; attempt; n_writes } ->
-      p "CB %d %d %d" core attempt n_writes
-  | Event.Host_write { addr; value } -> p "HW %d %d" addr value
-  | Event.Rlock_released { core; addr } -> p "RLR %d %d" core addr
-  | Event.Wlock_granted { core; addrs } ->
-      p "WLK %d %s" core (String.concat "," (List.map string_of_int addrs))
-  | Event.Tx_publish { core; attempt; n_writes } ->
-      p "PUB %d %d %d" core attempt n_writes
-  | Event.Tx_committed { core; attempt; duration_ns } ->
-      p "COM %d %d %h" core attempt duration_ns
-  | Event.Tx_aborted { core; attempt; conflict } ->
-      p "ABO %d %d %s" core attempt (Event.conflict_opt_to_string conflict)
-  | Event.Lock_conflict { server; requester; enemy; addr; conflict; requester_wins }
-    ->
-      p "CFL %d %d %d %d %s %s" server requester enemy addr
-        (conflict_to_string conflict)
-        (bool01 requester_wins)
-  | Event.Enemy_aborted { server; winner; victim; addr; conflict } ->
-      p "ENA %d %d %d %d %s" server winner victim addr (conflict_to_string conflict)
-  | Event.Req_sent { core; server; req_id; kind; n_addrs } ->
-      p "REQ %d %d %d %s %d" core server req_id kind n_addrs
-  | Event.Service { server; requester; req_id; kind; queue_depth; occupancy } ->
-      p "SRV %d %d %d %s %d %d" server requester req_id kind queue_depth occupancy
-  | Event.Service_done { server; requester; req_id } ->
-      p "SRD %d %d %d" server requester req_id
-  | Event.Barrier { core } -> p "BAR %d" core
-  | Event.Msg_dropped { src; dst } -> p "DRP %d %d" src dst
-  | Event.Msg_duplicated { src; dst } -> p "DUP %d %d" src dst
-  | Event.Req_resent { core; server; req_id; nth } ->
-      p "RSN %d %d %d %d" core server req_id nth
-  | Event.Core_crashed { core; attempt } -> p "CRS %d %d" core attempt
-  | Event.Lease_reclaimed { server; victim; addr; aborted } ->
-      p "LSR %d %d %d %s" server victim addr (bool01 aborted)
-  | Event.Server_crashed { server } -> p "SCR %d" server
-  | Event.Epoch_bumped { part; epoch; by } -> p "EPB %d %d %d" part epoch by
-  | Event.Replica_applied { server; src; part; n_addrs } ->
-      p "RPA %d %d %d %d" server src part n_addrs
-  | Event.Failover_done { server; part; epoch; merged } ->
-      p "FOD %d %d %d %d" server part epoch merged
-  | Event.Stale_epoch_rejected { server; core; req_epoch; cur_epoch } ->
-      p "SER %d %d %d %d" server core req_epoch cur_epoch
-  | Event.Req_admitted { core; tenant; queue_depth } ->
-      p "ADM %d %d %d" core tenant queue_depth
-  | Event.Req_shed { core; tenant; reason; retry_after_ns } ->
-      p "SHD %d %d %s %h" core tenant (shed_reason_to_string reason) retry_after_ns
-  | Event.Req_expired { core; tenant; waited_ns } ->
-      p "EXP %d %d %h" core tenant waited_ns
-  | Event.Retry_budget_exhausted { core; tenant; retries } ->
-      p "RBX %d %d %d" core tenant retries);
-  p "\n"
+(* Field text: "%h" floats, 0/1 flags, comma-joined address lists,
+   conflict labels with "STATUS" for the status-CAS abort path. *)
+let output_value oc = function
+  | Event.Int i -> output_string oc (string_of_int i)
+  | Event.Bool b -> output_string oc (if b then "1" else "0")
+  | Event.Float f -> Printf.fprintf oc "%h" f
+  | Event.Str s -> output_string oc s
+  | Event.Ints l -> output_string oc (String.concat "," (List.map string_of_int l))
+  | Event.Conflict c -> output_string oc (Event.conflict_opt_to_string c)
+  | Event.Shed r -> output_string oc (shed_reason_to_string r)
 
 (* Streaming writer: header up front, one line per event, count
    footer on close. *)
@@ -121,7 +62,13 @@ let create_writer path =
   { w_oc = oc; w_count = 0; w_owns = true }
 
 let put w time ev =
-  write_event w.w_oc time ev;
+  Printf.fprintf w.w_oc "%h %s" time (Event.tag ev);
+  List.iter
+    (fun (_, v) ->
+      output_char w.w_oc ' ';
+      output_value w.w_oc v)
+    (Event.fields ev);
+  output_char w.w_oc '\n';
   w.w_count <- w.w_count + 1
 
 let written w = w.w_count
@@ -142,193 +89,50 @@ let save path iter =
 let parse_error lineno msg =
   failwith (Printf.sprintf "history log line %d: %s" lineno msg)
 
+let parse_value lineno kind s =
+  let bad what s = parse_error lineno (Printf.sprintf "bad %s %S" what s) in
+  let int s = match int_of_string_opt s with Some i -> i | None -> bad "integer" s in
+  match kind with
+  | Event.K_int -> Event.Int (int s)
+  | Event.K_bool -> (
+      match s with "0" -> Event.Bool false | "1" -> Event.Bool true | _ -> bad "flag" s)
+  | Event.K_float -> (
+      match float_of_string_opt s with Some f -> Event.Float f | None -> bad "float" s)
+  | Event.K_str -> Event.Str s
+  | Event.K_ints ->
+      Event.Ints (if s = "" then [] else List.map int (String.split_on_char ',' s))
+  | Event.K_conflict -> (
+      if s = "STATUS" then Event.Conflict None
+      else
+        match conflict_of_string s with
+        | Some c -> Event.Conflict (Some c)
+        | None -> bad "conflict label" s)
+  | Event.K_shed -> (
+      match shed_reason_of_string s with
+      | Some r -> Event.Shed r
+      | None -> bad "shed reason" s)
+
 let parse_line lineno line =
-  let int s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None -> parse_error lineno (Printf.sprintf "bad integer %S" s)
-  in
-  let flag s =
-    match s with
-    | "0" -> false
-    | "1" -> true
-    | _ -> parse_error lineno (Printf.sprintf "bad flag %S" s)
-  in
   match String.split_on_char ' ' line with
-  | time_s :: tag :: fields -> (
+  | time_s :: tag :: tokens -> (
       let time =
         match float_of_string_opt time_s with
         | Some t -> t
         | None -> parse_error lineno (Printf.sprintf "bad timestamp %S" time_s)
       in
-      let ev =
-        match (tag, fields) with
-        | "TXS", [ core; attempt; elastic ] ->
-            Event.Tx_start
-              { core = int core; attempt = int attempt; elastic = flag elastic }
-        | "TXR", [ core; addr; granted; value ] ->
-            Event.Tx_read
-              { core = int core; addr = int addr; granted = flag granted; value = int value }
-        | "TXW", [ core; addr; value ] ->
-            Event.Tx_write { core = int core; addr = int addr; value = int value }
-        | "CB", [ core; attempt; n_writes ] ->
-            Event.Tx_commit_begin
-              { core = int core; attempt = int attempt; n_writes = int n_writes }
-        | "HW", [ addr; value ] ->
-            Event.Host_write { addr = int addr; value = int value }
-        | "RLR", [ core; addr ] ->
-            Event.Rlock_released { core = int core; addr = int addr }
-        | "WLK", [ core; addrs ] ->
-            Event.Wlock_granted
-              {
-                core = int core;
-                addrs =
-                  (if addrs = "" then []
-                   else List.map int (String.split_on_char ',' addrs));
-              }
-        | "PUB", [ core; attempt; n_writes ] ->
-            Event.Tx_publish
-              { core = int core; attempt = int attempt; n_writes = int n_writes }
-        | "COM", [ core; attempt; dur ] ->
-            let duration_ns =
-              match float_of_string_opt dur with
-              | Some d -> d
-              | None -> parse_error lineno (Printf.sprintf "bad duration %S" dur)
-            in
-            Event.Tx_committed { core = int core; attempt = int attempt; duration_ns }
-        | "ABO", [ core; attempt; conflict ] ->
-            Event.Tx_aborted
-              {
-                core = int core;
-                attempt = int attempt;
-                conflict = conflict_opt_of_string conflict;
-              }
-        | "CFL", [ server; requester; enemy; addr; conflict; wins ] ->
-            Event.Lock_conflict
-              {
-                server = int server;
-                requester = int requester;
-                enemy = int enemy;
-                addr = int addr;
-                conflict = conflict_of_string conflict;
-                requester_wins = flag wins;
-              }
-        | "ENA", [ server; winner; victim; addr; conflict ] ->
-            Event.Enemy_aborted
-              {
-                server = int server;
-                winner = int winner;
-                victim = int victim;
-                addr = int addr;
-                conflict = conflict_of_string conflict;
-              }
-        | "REQ", [ core; server; req_id; kind; n_addrs ] ->
-            Event.Req_sent
-              {
-                core = int core;
-                server = int server;
-                req_id = int req_id;
-                kind;
-                n_addrs = int n_addrs;
-              }
-        | "SRV", [ server; requester; req_id; kind; queue_depth; occupancy ] ->
-            Event.Service
-              {
-                server = int server;
-                requester = int requester;
-                req_id = int req_id;
-                kind;
-                queue_depth = int queue_depth;
-                occupancy = int occupancy;
-              }
-        | "SRD", [ server; requester; req_id ] ->
-            Event.Service_done
-              { server = int server; requester = int requester; req_id = int req_id }
-        | "BAR", [ core ] -> Event.Barrier { core = int core }
-        | "DRP", [ src; dst ] -> Event.Msg_dropped { src = int src; dst = int dst }
-        | "DUP", [ src; dst ] ->
-            Event.Msg_duplicated { src = int src; dst = int dst }
-        | "RSN", [ core; server; req_id; nth ] ->
-            Event.Req_resent
-              {
-                core = int core;
-                server = int server;
-                req_id = int req_id;
-                nth = int nth;
-              }
-        | "CRS", [ core; attempt ] ->
-            Event.Core_crashed { core = int core; attempt = int attempt }
-        | "LSR", [ server; victim; addr; aborted ] ->
-            Event.Lease_reclaimed
-              {
-                server = int server;
-                victim = int victim;
-                addr = int addr;
-                aborted = flag aborted;
-              }
-        | "SCR", [ server ] -> Event.Server_crashed { server = int server }
-        | "EPB", [ part; epoch; by ] ->
-            Event.Epoch_bumped { part = int part; epoch = int epoch; by = int by }
-        | "RPA", [ server; src; part; n_addrs ] ->
-            Event.Replica_applied
-              {
-                server = int server;
-                src = int src;
-                part = int part;
-                n_addrs = int n_addrs;
-              }
-        | "FOD", [ server; part; epoch; merged ] ->
-            Event.Failover_done
-              {
-                server = int server;
-                part = int part;
-                epoch = int epoch;
-                merged = int merged;
-              }
-        | "SER", [ server; core; req_epoch; cur_epoch ] ->
-            Event.Stale_epoch_rejected
-              {
-                server = int server;
-                core = int core;
-                req_epoch = int req_epoch;
-                cur_epoch = int cur_epoch;
-              }
-        | "ADM", [ core; tenant; queue_depth ] ->
-            Event.Req_admitted
-              { core = int core; tenant = int tenant; queue_depth = int queue_depth }
-        | "SHD", [ core; tenant; reason; retry_after ] ->
-            let reason =
-              match shed_reason_of_string reason with
-              | Some r -> r
-              | None ->
-                  parse_error lineno
-                    (Printf.sprintf "unknown shed reason %S" reason)
-            in
-            let retry_after_ns =
-              match float_of_string_opt retry_after with
-              | Some v -> v
-              | None ->
-                  parse_error lineno
-                    (Printf.sprintf "bad retry-after %S" retry_after)
-            in
-            Event.Req_shed
-              { core = int core; tenant = int tenant; reason; retry_after_ns }
-        | "EXP", [ core; tenant; waited ] ->
-            let waited_ns =
-              match float_of_string_opt waited with
-              | Some v -> v
-              | None ->
-                  parse_error lineno (Printf.sprintf "bad wait %S" waited)
-            in
-            Event.Req_expired { core = int core; tenant = int tenant; waited_ns }
-        | "RBX", [ core; tenant; retries ] ->
-            Event.Retry_budget_exhausted
-              { core = int core; tenant = int tenant; retries = int retries }
-        | _ ->
-            parse_error lineno
-              (Printf.sprintf "unrecognized record %S" (String.concat " " (tag :: fields)))
+      let unrecognized () =
+        parse_error lineno
+          (Printf.sprintf "unrecognized record %S" (String.concat " " (tag :: tokens)))
       in
-      (time, ev))
+      match Event.schema tag with
+      | Some schema when List.compare_lengths schema tokens = 0 -> (
+          let values =
+            List.map2 (fun (_, kind) s -> parse_value lineno kind s) schema tokens
+          in
+          match Event.decode tag values with
+          | Some ev -> (time, ev)
+          | None -> unrecognized ())
+      | _ -> unrecognized ())
   | _ -> parse_error lineno "short line"
 
 let is_prefix pre s =

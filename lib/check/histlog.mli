@@ -4,7 +4,7 @@
     separated, with timestamps and durations in hex-float notation so
     virtual times round-trip exactly. Written by [tm2c-sim --history]
     and replayed by [tm2c-check]. The first line is a version header;
-    readers refuse unknown versions (v1–v3 logs are still accepted).
+    readers refuse unknown versions (v1–v4 logs are still accepted).
 
     v4 logs end with an ["# events N"] footer: the streaming writer
     stamps it on close, and readers verify it when present, so a
@@ -16,8 +16,6 @@
 open Tm2c_core
 
 val header : string
-
-val write_event : out_channel -> float -> Event.t -> unit
 
 (** Incremental writer: {!create_writer}/{!writer_of_channel} emit
     the header, {!put} appends one event line, {!close_writer} stamps

@@ -164,90 +164,250 @@ let conflict_opt_to_string = function
   | Some c -> conflict_to_string c
   | None -> "STATUS"
 
-let pp fmt = function
-  | Tx_start { core; attempt; elastic } ->
-      Format.fprintf fmt "core %2d  tx-start     attempt=%d%s" core attempt
-        (if elastic then " elastic" else "")
+(* ---- codec ----
+
+   One table drives every rendering of an event: the history log
+   (Histlog), the trace dump ([pp]), the Perfetto instants and the
+   flight recorder's per-kind counters. Each constructor has one row
+   in [table] (history-log tag, snake_case name, field names and kinds
+   in log order) and one arm in each of [index], [values] and
+   [decode]. The compiler checks that the two matches are exhaustive;
+   the round-trip property checks that all three agree with the row. *)
+
+type value =
+  | Int of int
+  | Bool of bool
+  | Float of float
+  | Str of string
+  | Ints of int list
+  | Conflict of conflict option
+  | Shed of shed_reason
+
+type kind = K_int | K_bool | K_float | K_str | K_ints | K_conflict | K_shed
+
+let table =
+  [|
+    ("TXS", "tx_start", [ ("core", K_int); ("attempt", K_int); ("elastic", K_bool) ]);
+    ( "TXR", "tx_read",
+      [ ("core", K_int); ("addr", K_int); ("granted", K_bool); ("value", K_int) ] );
+    ("TXW", "tx_write", [ ("core", K_int); ("addr", K_int); ("value", K_int) ]);
+    ( "CB", "tx_commit_begin",
+      [ ("core", K_int); ("attempt", K_int); ("n_writes", K_int) ] );
+    ("HW", "host_write", [ ("addr", K_int); ("value", K_int) ]);
+    ("RLR", "rlock_released", [ ("core", K_int); ("addr", K_int) ]);
+    ("WLK", "wlock_granted", [ ("core", K_int); ("addrs", K_ints) ]);
+    ("PUB", "tx_publish", [ ("core", K_int); ("attempt", K_int); ("n_writes", K_int) ]);
+    ( "COM", "tx_committed",
+      [ ("core", K_int); ("attempt", K_int); ("duration_ns", K_float) ] );
+    ( "ABO", "tx_aborted",
+      [ ("core", K_int); ("attempt", K_int); ("conflict", K_conflict) ] );
+    ( "CFL", "lock_conflict",
+      [ ("server", K_int); ("requester", K_int); ("enemy", K_int); ("addr", K_int);
+        ("conflict", K_conflict); ("requester_wins", K_bool) ] );
+    ( "ENA", "enemy_aborted",
+      [ ("server", K_int); ("winner", K_int); ("victim", K_int); ("addr", K_int);
+        ("conflict", K_conflict) ] );
+    ( "REQ", "req_sent",
+      [ ("core", K_int); ("server", K_int); ("req_id", K_int); ("kind", K_str);
+        ("n_addrs", K_int) ] );
+    ( "SRV", "service",
+      [ ("server", K_int); ("requester", K_int); ("req_id", K_int); ("kind", K_str);
+        ("queue_depth", K_int); ("occupancy", K_int) ] );
+    ( "SRD", "service_done",
+      [ ("server", K_int); ("requester", K_int); ("req_id", K_int) ] );
+    ("BAR", "barrier", [ ("core", K_int) ]);
+    ("DRP", "msg_dropped", [ ("src", K_int); ("dst", K_int) ]);
+    ("DUP", "msg_duplicated", [ ("src", K_int); ("dst", K_int) ]);
+    ( "RSN", "req_resent",
+      [ ("core", K_int); ("server", K_int); ("req_id", K_int); ("nth", K_int) ] );
+    ("CRS", "core_crashed", [ ("core", K_int); ("attempt", K_int) ]);
+    ( "LSR", "lease_reclaimed",
+      [ ("server", K_int); ("victim", K_int); ("addr", K_int); ("aborted", K_bool) ] );
+    ("SCR", "server_crashed", [ ("server", K_int) ]);
+    ("EPB", "epoch_bumped", [ ("part", K_int); ("epoch", K_int); ("by", K_int) ]);
+    ( "RPA", "replica_applied",
+      [ ("server", K_int); ("src", K_int); ("part", K_int); ("n_addrs", K_int) ] );
+    ( "FOD", "failover_done",
+      [ ("server", K_int); ("part", K_int); ("epoch", K_int); ("merged", K_int) ] );
+    ( "SER", "stale_epoch_rejected",
+      [ ("server", K_int); ("core", K_int); ("req_epoch", K_int); ("cur_epoch", K_int) ]
+    );
+    ( "ADM", "req_admitted",
+      [ ("core", K_int); ("tenant", K_int); ("queue_depth", K_int) ] );
+    ( "SHD", "req_shed",
+      [ ("core", K_int); ("tenant", K_int); ("reason", K_shed);
+        ("retry_after_ns", K_float) ] );
+    ( "EXP", "req_expired",
+      [ ("core", K_int); ("tenant", K_int); ("waited_ns", K_float) ] );
+    ( "RBX", "retry_budget_exhausted",
+      [ ("core", K_int); ("tenant", K_int); ("retries", K_int) ] );
+  |]
+
+(* Row of [table]; a constant per arm, so counting events allocates
+   nothing. *)
+let index = function
+  | Tx_start _ -> 0
+  | Tx_read _ -> 1
+  | Tx_write _ -> 2
+  | Tx_commit_begin _ -> 3
+  | Host_write _ -> 4
+  | Rlock_released _ -> 5
+  | Wlock_granted _ -> 6
+  | Tx_publish _ -> 7
+  | Tx_committed _ -> 8
+  | Tx_aborted _ -> 9
+  | Lock_conflict _ -> 10
+  | Enemy_aborted _ -> 11
+  | Req_sent _ -> 12
+  | Service _ -> 13
+  | Service_done _ -> 14
+  | Barrier _ -> 15
+  | Msg_dropped _ -> 16
+  | Msg_duplicated _ -> 17
+  | Req_resent _ -> 18
+  | Core_crashed _ -> 19
+  | Lease_reclaimed _ -> 20
+  | Server_crashed _ -> 21
+  | Epoch_bumped _ -> 22
+  | Replica_applied _ -> 23
+  | Failover_done _ -> 24
+  | Stale_epoch_rejected _ -> 25
+  | Req_admitted _ -> 26
+  | Req_shed _ -> 27
+  | Req_expired _ -> 28
+  | Retry_budget_exhausted _ -> 29
+
+let names = Array.map (fun (_, name, _) -> name) table
+
+let tag ev =
+  let tag, _, _ = table.(index ev) in
+  tag
+
+let schema tag =
+  Array.find_map (fun (t, _, schema) -> if t = tag then Some schema else None) table
+
+(* Field values in log order. *)
+let values = function
+  | Tx_start { core; attempt; elastic } -> [ Int core; Int attempt; Bool elastic ]
   | Tx_read { core; addr; granted; value } ->
-      if granted then
-        Format.fprintf fmt "core %2d  tx-read      addr=%d granted value=%d" core
-          addr value
-      else Format.fprintf fmt "core %2d  tx-read      addr=%d refused" core addr
-  | Tx_write { core; addr; value } ->
-      Format.fprintf fmt "core %2d  tx-write     addr=%d value=%d" core addr value
-  | Tx_commit_begin { core; attempt; n_writes } ->
-      Format.fprintf fmt "core %2d  commit-begin attempt=%d writes=%d" core attempt
-        n_writes
-  | Host_write { addr; value } ->
-      Format.fprintf fmt "host     host-write   addr=%d value=%d" addr value
-  | Rlock_released { core; addr } ->
-      Format.fprintf fmt "core %2d  rlock-rel    addr=%d" core addr
-  | Wlock_granted { core; addrs } ->
-      Format.fprintf fmt "core %2d  wlock        addrs=%s" core
-        (String.concat "," (List.map string_of_int addrs))
-  | Tx_publish { core; attempt; n_writes } ->
-      Format.fprintf fmt "core %2d  publish      attempt=%d writes=%d" core attempt
-        n_writes
+      [ Int core; Int addr; Bool granted; Int value ]
+  | Tx_write { core; addr; value } -> [ Int core; Int addr; Int value ]
+  | Tx_commit_begin { core; attempt; n_writes } -> [ Int core; Int attempt; Int n_writes ]
+  | Host_write { addr; value } -> [ Int addr; Int value ]
+  | Rlock_released { core; addr } -> [ Int core; Int addr ]
+  | Wlock_granted { core; addrs } -> [ Int core; Ints addrs ]
+  | Tx_publish { core; attempt; n_writes } -> [ Int core; Int attempt; Int n_writes ]
   | Tx_committed { core; attempt; duration_ns } ->
-      Format.fprintf fmt "core %2d  committed    attempt=%d span=%.0fns" core attempt
-        duration_ns
-  | Tx_aborted { core; attempt; conflict } ->
-      Format.fprintf fmt "core %2d  aborted      attempt=%d cause=%s" core attempt
-        (conflict_opt_to_string conflict)
+      [ Int core; Int attempt; Float duration_ns ]
+  | Tx_aborted { core; attempt; conflict } -> [ Int core; Int attempt; Conflict conflict ]
   | Lock_conflict { server; requester; enemy; addr; conflict; requester_wins } ->
-      Format.fprintf fmt "dtm  %2d  conflict     %s addr=%d core %d vs core %d -> %s"
-        server (conflict_to_string conflict) addr requester enemy
-        (if requester_wins then "requester wins" else "requester loses")
+      [ Int server; Int requester; Int enemy; Int addr; Conflict (Some conflict);
+        Bool requester_wins ]
   | Enemy_aborted { server; winner; victim; addr; conflict } ->
-      Format.fprintf fmt "dtm  %2d  enemy-abort  %s addr=%d core %d aborts core %d"
-        server (conflict_to_string conflict) addr winner victim
+      [ Int server; Int winner; Int victim; Int addr; Conflict (Some conflict) ]
   | Req_sent { core; server; req_id; kind; n_addrs } ->
-      Format.fprintf fmt "core %2d  req-sent     %s#%d -> dtm %d addrs=%d" core kind
-        req_id server n_addrs
+      [ Int core; Int server; Int req_id; Str kind; Int n_addrs ]
   | Service { server; requester; req_id; kind; queue_depth; occupancy } ->
-      Format.fprintf fmt "dtm  %2d  serve        %s#%d from core %d queue=%d locks=%d"
-        server kind req_id requester queue_depth occupancy
+      [ Int server; Int requester; Int req_id; Str kind; Int queue_depth; Int occupancy ]
   | Service_done { server; requester; req_id } ->
-      Format.fprintf fmt "dtm  %2d  serve-done   #%d from core %d" server req_id
-        requester
-  | Barrier { core } -> Format.fprintf fmt "core %2d  barrier" core
-  | Msg_dropped { src; dst } ->
-      Format.fprintf fmt "link     msg-dropped  %d -> %d" src dst
-  | Msg_duplicated { src; dst } ->
-      Format.fprintf fmt "link     msg-dup      %d -> %d" src dst
+      [ Int server; Int requester; Int req_id ]
+  | Barrier { core } -> [ Int core ]
+  | Msg_dropped { src; dst } -> [ Int src; Int dst ]
+  | Msg_duplicated { src; dst } -> [ Int src; Int dst ]
   | Req_resent { core; server; req_id; nth } ->
-      Format.fprintf fmt "core %2d  req-resent   #%d -> dtm %d nth=%d" core req_id
-        server nth
-  | Core_crashed { core; attempt } ->
-      Format.fprintf fmt "core %2d  crashed      attempt=%d" core attempt
+      [ Int core; Int server; Int req_id; Int nth ]
+  | Core_crashed { core; attempt } -> [ Int core; Int attempt ]
   | Lease_reclaimed { server; victim; addr; aborted } ->
-      Format.fprintf fmt "dtm  %2d  lease-reclaim addr=%d victim=core %d%s" server
-        addr victim
-        (if aborted then " (aborted)" else " (stale)")
-  | Server_crashed { server } ->
-      Format.fprintf fmt "dtm  %2d  srv-crashed" server
-  | Epoch_bumped { part; epoch; by } ->
-      Format.fprintf fmt "core %2d  epoch-bump   part=%d epoch=%d" by part epoch
+      [ Int server; Int victim; Int addr; Bool aborted ]
+  | Server_crashed { server } -> [ Int server ]
+  | Epoch_bumped { part; epoch; by } -> [ Int part; Int epoch; Int by ]
   | Replica_applied { server; src; part; n_addrs } ->
-      Format.fprintf fmt "dtm  %2d  replica      part=%d from dtm %d addrs=%d"
-        server part src n_addrs
+      [ Int server; Int src; Int part; Int n_addrs ]
   | Failover_done { server; part; epoch; merged } ->
-      Format.fprintf fmt "dtm  %2d  failover     part=%d epoch=%d merged=%d"
-        server part epoch merged
+      [ Int server; Int part; Int epoch; Int merged ]
   | Stale_epoch_rejected { server; core; req_epoch; cur_epoch } ->
-      Format.fprintf fmt "dtm  %2d  stale-epoch  core %d req_epoch=%d cur=%d"
-        server core req_epoch cur_epoch
+      [ Int server; Int core; Int req_epoch; Int cur_epoch ]
   | Req_admitted { core; tenant; queue_depth } ->
-      Format.fprintf fmt "core %2d  req-admitted tenant=%d queue=%d" core tenant
-        queue_depth
+      [ Int core; Int tenant; Int queue_depth ]
   | Req_shed { core; tenant; reason; retry_after_ns } ->
-      Format.fprintf fmt "core %2d  req-shed     tenant=%d cause=%s retry_after=%.0fns"
-        core tenant (shed_reason_to_string reason) retry_after_ns
-  | Req_expired { core; tenant; waited_ns } ->
-      Format.fprintf fmt "core %2d  req-expired  tenant=%d waited=%.0fns" core tenant
-        waited_ns
+      [ Int core; Int tenant; Shed reason; Float retry_after_ns ]
+  | Req_expired { core; tenant; waited_ns } -> [ Int core; Int tenant; Float waited_ns ]
   | Retry_budget_exhausted { core; tenant; retries } ->
-      Format.fprintf fmt "core %2d  retry-budget tenant=%d retries=%d" core tenant
-        retries
+      [ Int core; Int tenant; Int retries ]
+
+let fields ev =
+  let _, _, schema = table.(index ev) in
+  List.map2 (fun (name, _) v -> (name, v)) schema (values ev)
+
+let decode tag values =
+  match (tag, values) with
+  | "TXS", [ Int core; Int attempt; Bool elastic ] ->
+      Some (Tx_start { core; attempt; elastic })
+  | "TXR", [ Int core; Int addr; Bool granted; Int value ] ->
+      Some (Tx_read { core; addr; granted; value })
+  | "TXW", [ Int core; Int addr; Int value ] -> Some (Tx_write { core; addr; value })
+  | "CB", [ Int core; Int attempt; Int n_writes ] ->
+      Some (Tx_commit_begin { core; attempt; n_writes })
+  | "HW", [ Int addr; Int value ] -> Some (Host_write { addr; value })
+  | "RLR", [ Int core; Int addr ] -> Some (Rlock_released { core; addr })
+  | "WLK", [ Int core; Ints addrs ] -> Some (Wlock_granted { core; addrs })
+  | "PUB", [ Int core; Int attempt; Int n_writes ] ->
+      Some (Tx_publish { core; attempt; n_writes })
+  | "COM", [ Int core; Int attempt; Float duration_ns ] ->
+      Some (Tx_committed { core; attempt; duration_ns })
+  | "ABO", [ Int core; Int attempt; Conflict conflict ] ->
+      Some (Tx_aborted { core; attempt; conflict })
+  | ( "CFL",
+      [ Int server; Int requester; Int enemy; Int addr; Conflict (Some conflict);
+        Bool requester_wins ] ) ->
+      Some (Lock_conflict { server; requester; enemy; addr; conflict; requester_wins })
+  | "ENA", [ Int server; Int winner; Int victim; Int addr; Conflict (Some conflict) ] ->
+      Some (Enemy_aborted { server; winner; victim; addr; conflict })
+  | "REQ", [ Int core; Int server; Int req_id; Str kind; Int n_addrs ] ->
+      Some (Req_sent { core; server; req_id; kind; n_addrs })
+  | ( "SRV",
+      [ Int server; Int requester; Int req_id; Str kind; Int queue_depth;
+        Int occupancy ] ) ->
+      Some (Service { server; requester; req_id; kind; queue_depth; occupancy })
+  | "SRD", [ Int server; Int requester; Int req_id ] ->
+      Some (Service_done { server; requester; req_id })
+  | "BAR", [ Int core ] -> Some (Barrier { core })
+  | "DRP", [ Int src; Int dst ] -> Some (Msg_dropped { src; dst })
+  | "DUP", [ Int src; Int dst ] -> Some (Msg_duplicated { src; dst })
+  | "RSN", [ Int core; Int server; Int req_id; Int nth ] ->
+      Some (Req_resent { core; server; req_id; nth })
+  | "CRS", [ Int core; Int attempt ] -> Some (Core_crashed { core; attempt })
+  | "LSR", [ Int server; Int victim; Int addr; Bool aborted ] ->
+      Some (Lease_reclaimed { server; victim; addr; aborted })
+  | "SCR", [ Int server ] -> Some (Server_crashed { server })
+  | "EPB", [ Int part; Int epoch; Int by ] -> Some (Epoch_bumped { part; epoch; by })
+  | "RPA", [ Int server; Int src; Int part; Int n_addrs ] ->
+      Some (Replica_applied { server; src; part; n_addrs })
+  | "FOD", [ Int server; Int part; Int epoch; Int merged ] ->
+      Some (Failover_done { server; part; epoch; merged })
+  | "SER", [ Int server; Int core; Int req_epoch; Int cur_epoch ] ->
+      Some (Stale_epoch_rejected { server; core; req_epoch; cur_epoch })
+  | "ADM", [ Int core; Int tenant; Int queue_depth ] ->
+      Some (Req_admitted { core; tenant; queue_depth })
+  | "SHD", [ Int core; Int tenant; Shed reason; Float retry_after_ns ] ->
+      Some (Req_shed { core; tenant; reason; retry_after_ns })
+  | "EXP", [ Int core; Int tenant; Float waited_ns ] ->
+      Some (Req_expired { core; tenant; waited_ns })
+  | "RBX", [ Int core; Int tenant; Int retries ] ->
+      Some (Retry_budget_exhausted { core; tenant; retries })
+  | _ -> None
+
+let pp_value fmt = function
+  | Int i -> Format.pp_print_int fmt i
+  | Bool b -> Format.pp_print_bool fmt b
+  | Float f -> Format.fprintf fmt "%.0f" f
+  | Str s -> Format.pp_print_string fmt s
+  | Ints l -> Format.pp_print_string fmt (String.concat "," (List.map string_of_int l))
+  | Conflict c -> Format.pp_print_string fmt (conflict_opt_to_string c)
+  | Shed r -> Format.pp_print_string fmt (shed_reason_to_string r)
+
+let pp fmt ev =
+  Format.fprintf fmt "%-22s" names.(index ev);
+  List.iter (fun (name, v) -> Format.fprintf fmt " %s=%a" name pp_value v) (fields ev)
 
 let to_string ev = Format.asprintf "%a" pp ev

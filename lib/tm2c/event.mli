@@ -177,6 +177,52 @@ type t =
     key the JSON export uses in [aborts.by_conflict]. *)
 val conflict_opt_to_string : conflict option -> string
 
+(** {1 Codec}
+
+    One descriptor per constructor, from which every output format is
+    derived: the history log ({!Tm2c_check.Histlog}), the trace dump
+    ({!pp}), the Perfetto instants and the flight recorder's per-kind
+    event counts. *)
+
+(** A field value. [Conflict] carries the abort cause of
+    {!Tx_aborted} ([None] is the status-CAS path) and, always as
+    [Some], the conflict class of {!Lock_conflict}/{!Enemy_aborted}. *)
+type value =
+  | Int of int
+  | Bool of bool
+  | Float of float
+  | Str of string
+  | Ints of int list
+  | Conflict of conflict option
+  | Shed of shed_reason
+
+(** The kind of a field, i.e. which [value] constructor carries it. *)
+type kind = K_int | K_bool | K_float | K_str | K_ints | K_conflict | K_shed
+
+(** Constructor index in declaration order, in
+    [\[0, Array.length names)]. Allocation-free. *)
+val index : t -> int
+
+(** Snake-case name per constructor, indexed by {!index}
+    (["tx_start"], ["tx_committed"], ...). *)
+val names : string array
+
+(** The constructor's history-log record tag (["TXS"], ["COM"], ...). *)
+val tag : t -> string
+
+(** Field names and kinds, in log order, of the constructor with the
+    given history-log tag; [None] for an unknown tag. *)
+val schema : string -> (string * kind) list option
+
+(** Named field values, in log order. *)
+val fields : t -> (string * value) list
+
+(** [decode tag values] rebuilds the event from its tag and field
+    values in log order ([List.map snd (fields ev)]); [None] when the
+    tag is unknown or the values do not fit its schema. *)
+val decode : string -> value list -> t option
+
+(** Name and [k=v] fields, for trace dumps. *)
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -306,29 +306,145 @@ let test_mutation_early_read_release_caught () =
        (fun v -> contains v.Lockset.v_message "two-phase violation")
        r.Lockset.violations)
 
-(* The five fault/hardening event kinds added in the v2 log format
-   must survive a save/load round trip exactly. *)
-let test_histlog_fault_events_roundtrip () =
-  let events =
-    [
-      (1.0, Event.Msg_dropped { src = 1; dst = 2 });
-      (2.0, Event.Msg_duplicated { src = 3; dst = 0 });
-      (3.0, Event.Req_resent { core = 1; server = 2; req_id = 7; nth = 1 });
-      (4.0, Event.Core_crashed { core = 3; attempt = 5 });
-      ( 5.0,
-        Event.Lease_reclaimed { server = 2; victim = 3; addr = 9; aborted = true }
-      );
-      ( 6.0,
-        Event.Lease_reclaimed
-          { server = 0; victim = 1; addr = 11; aborted = false } );
-    ]
+(* ---- the event codec ---- *)
+
+(* One generator per Event constructor, in declaration order, so case
+   [i] must come out with [Event.index = i]. Small ranges keep shrunk
+   counterexamples readable; -1 is the "outside any attempt" value. *)
+let event_cases =
+  let open QCheck.Gen in
+  let id = int_bound 63 and n = int_range (-1) 10_000 in
+  let ns = float_bound_inclusive 1e9 in
+  let kind = oneofl [ "read_lock"; "write_locks"; "release_reads"; "release_writes" ] in
+  let conflict = oneofl Types.[ Raw; Waw; War ] in
+  let cause = oneofl Types.[ None; Some Raw; Some Waw; Some War ] in
+  let reason = oneofl Types.[ Shed_queue_full; Shed_no_tokens; Shed_deadline ] in
+  [|
+    (let+ core = id and+ attempt = n and+ elastic = bool in
+     Event.Tx_start { core; attempt; elastic });
+    (let+ core = id and+ addr = n and+ granted = bool and+ value = n in
+     Event.Tx_read { core; addr; granted; value });
+    (let+ core = id and+ addr = n and+ value = n in
+     Event.Tx_write { core; addr; value });
+    (let+ core = id and+ attempt = n and+ n_writes = n in
+     Event.Tx_commit_begin { core; attempt; n_writes });
+    (let+ addr = n and+ value = n in
+     Event.Host_write { addr; value });
+    (let+ core = id and+ addr = n in
+     Event.Rlock_released { core; addr });
+    (let+ core = id and+ addrs = list_size (int_bound 4) nat in
+     Event.Wlock_granted { core; addrs });
+    (let+ core = id and+ attempt = n and+ n_writes = n in
+     Event.Tx_publish { core; attempt; n_writes });
+    (let+ core = id and+ attempt = n and+ duration_ns = ns in
+     Event.Tx_committed { core; attempt; duration_ns });
+    (let+ core = id and+ attempt = n and+ conflict = cause in
+     Event.Tx_aborted { core; attempt; conflict });
+    (let+ server = id and+ requester = id and+ enemy = id and+ addr = n
+     and+ conflict = conflict and+ requester_wins = bool in
+     Event.Lock_conflict { server; requester; enemy; addr; conflict; requester_wins });
+    (let+ server = id and+ winner = id and+ victim = id and+ addr = n
+     and+ conflict = conflict in
+     Event.Enemy_aborted { server; winner; victim; addr; conflict });
+    (let+ core = id and+ server = id and+ req_id = n and+ kind = kind
+     and+ n_addrs = n in
+     Event.Req_sent { core; server; req_id; kind; n_addrs });
+    (let+ server = id and+ requester = id and+ req_id = n and+ kind = kind
+     and+ queue_depth = n and+ occupancy = n in
+     Event.Service { server; requester; req_id; kind; queue_depth; occupancy });
+    (let+ server = id and+ requester = id and+ req_id = n in
+     Event.Service_done { server; requester; req_id });
+    (let+ core = id in
+     Event.Barrier { core });
+    (let+ src = id and+ dst = id in
+     Event.Msg_dropped { src; dst });
+    (let+ src = id and+ dst = id in
+     Event.Msg_duplicated { src; dst });
+    (let+ core = id and+ server = id and+ req_id = n and+ nth = n in
+     Event.Req_resent { core; server; req_id; nth });
+    (let+ core = id and+ attempt = n in
+     Event.Core_crashed { core; attempt });
+    (let+ server = id and+ victim = id and+ addr = n and+ aborted = bool in
+     Event.Lease_reclaimed { server; victim; addr; aborted });
+    (let+ server = id in
+     Event.Server_crashed { server });
+    (let+ part = id and+ epoch = n and+ by = id in
+     Event.Epoch_bumped { part; epoch; by });
+    (let+ server = id and+ src = id and+ part = id and+ n_addrs = n in
+     Event.Replica_applied { server; src; part; n_addrs });
+    (let+ server = id and+ part = id and+ epoch = n and+ merged = n in
+     Event.Failover_done { server; part; epoch; merged });
+    (let+ server = id and+ core = id and+ req_epoch = n and+ cur_epoch = n in
+     Event.Stale_epoch_rejected { server; core; req_epoch; cur_epoch });
+    (let+ core = id and+ tenant = id and+ queue_depth = n in
+     Event.Req_admitted { core; tenant; queue_depth });
+    (let+ core = id and+ tenant = id and+ reason = reason and+ retry_after_ns = ns in
+     Event.Req_shed { core; tenant; reason; retry_after_ns });
+    (let+ core = id and+ tenant = id and+ waited_ns = ns in
+     Event.Req_expired { core; tenant; waited_ns });
+    (let+ core = id and+ tenant = id and+ retries = n in
+     Event.Retry_budget_exhausted { core; tenant; retries });
+  |]
+
+(* The fault/hardening records of the v2 log format, hand-built. *)
+let fault_events =
+  [
+    Event.Msg_dropped { src = 1; dst = 2 };
+    Event.Msg_duplicated { src = 3; dst = 0 };
+    Event.Req_resent { core = 1; server = 2; req_id = 7; nth = 1 };
+    Event.Core_crashed { core = 3; attempt = 5 };
+    Event.Lease_reclaimed { server = 2; victim = 3; addr = 9; aborted = true };
+    Event.Lease_reclaimed { server = 0; victim = 1; addr = 11; aborted = false };
+  ]
+
+(* A history is one event per constructor (in declaration order),
+   then random extras and sometimes the hand-built fault records, all
+   stamped with random virtual times. *)
+let codec_roundtrip_prop =
+  let open QCheck.Gen in
+  let gen =
+    let* one_each = flatten_a event_cases in
+    let* extra = list_size (int_bound 30) (oneof (Array.to_list event_cases)) in
+    let* fault = oneofl [ []; fault_events ] in
+    let events = Array.to_list one_each @ extra @ fault in
+    let+ times = list_repeat (List.length events) (float_bound_inclusive 1e9) in
+    (Array.to_list one_each, List.combine times events)
   in
+  let print (_, h) =
+    String.concat "\n"
+      (List.map (fun (t, ev) -> Printf.sprintf "%h %s" t (Event.to_string ev)) h)
+  in
+  QCheck.Test.make ~name:"histlog save/load is the identity on every constructor"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (one_each, history) ->
+      let path = Filename.temp_file "tm2c_hist" ".log" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Histlog.save path (Check.iter_of_list history);
+          (* Case i yields constructor i: [index] is a bijection onto
+             [0, Array.length names). *)
+          List.map Event.index one_each
+          = List.init (Array.length Event.names) Fun.id
+          && Histlog.load path = history))
+
+(* A v5 log with every record tag, written by the hand-coded writer
+   that preceded the codec: re-writing what it loads must reproduce it
+   byte for byte. *)
+let test_histlog_golden_fixture () =
+  let fixture =
+    List.find Sys.file_exists
+      [ "fixtures/histlog/all_records.log"; "test/fixtures/histlog/all_records.log" ]
+  in
+  let original = In_channel.with_open_bin fixture In_channel.input_all in
   let path = Filename.temp_file "tm2c_hist" ".log" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Histlog.save path (Check.iter_of_list events);
-      check "fault events round-trip exactly" true (Histlog.load path = events))
+      Histlog.save path (Check.iter_of_list (Histlog.load fixture));
+      Alcotest.(check string)
+        "re-written log" original
+        (In_channel.with_open_bin path In_channel.input_all))
 
 (* Pre-fault-layer v1 logs stay loadable: only the header differs when
    no fault records are present. *)
@@ -563,8 +679,9 @@ let suite =
       test_mutation_double_wlock_grant_caught;
     Alcotest.test_case "mutation: early read-lock release caught" `Quick
       test_mutation_early_read_release_caught;
-    Alcotest.test_case "histlog round-trips fault events" `Quick
-      test_histlog_fault_events_roundtrip;
+    QCheck_alcotest.to_alcotest codec_roundtrip_prop;
+    Alcotest.test_case "histlog golden fixture re-writes byte-for-byte" `Quick
+      test_histlog_golden_fixture;
     Alcotest.test_case "histlog accepts v1 header" `Quick
       test_histlog_v1_header_accepted;
     Alcotest.test_case "lockset index: overwritten write lock kept" `Quick
