@@ -2,7 +2,9 @@
    the metric families the observability layer promises — including the
    schema-v2 phase attribution, time-series, and trace-ring sections —
    and check the phase-accounting invariant: per core, the committed
-   phase sums equal the total committed-attempt time (1e-6 relative).
+   phase sums equal the total committed-attempt time (1e-6 relative),
+   and (v7) the time-series tie: every cumulative channel sums to the
+   flight recorder's total for its counter.
    Exits non-zero (failwith) when the export is malformed, incomplete,
    or out of tolerance.
 
@@ -109,8 +111,8 @@ let () =
            faults rules below only run on runs that carry the section,
            which v3 made mandatory and v4 extended. *)
         (match Json.member "schema_version" v with
-        | Some (Json.Int (2 | 3 | 4 | 5 | 6)) -> ()
-        | Some (Json.Int n) -> fail "schema_version %d, expected 2..6" n
+        | Some (Json.Int (2 | 3 | 4 | 5 | 6 | 7)) -> ()
+        | Some (Json.Int n) -> fail "schema_version %d, expected 2..7" n
         | _ -> fail "missing schema_version");
         List.concat_map
           (fun e ->
@@ -166,7 +168,7 @@ let () =
         ]
   | _ -> ());
   (match Json.member "schema_version" v with
-  | Some (Json.Int (4 | 5 | 6)) ->
+  | Some (Json.Int (4 | 5 | 6 | 7)) ->
       List.iter (require first_run)
         [
           [ "faults"; "replicas" ];
@@ -181,7 +183,7 @@ let () =
      carries the checker sink's high-water mark, and every run gains a
      "metrics" section — the flight recorder's final snapshot. *)
   (match Json.member "schema_version" v with
-  | Some (Json.Int (5 | 6)) | None ->
+  | Some (Json.Int (5 | 6 | 7)) | None ->
       List.iter (require first_run)
         [
           [ "network"; "latency_ns"; "p999" ];
@@ -199,7 +201,7 @@ let () =
   (* v6: the open-loop section (admission / shedding / goodput) and the
      horizon flag. *)
   (match Json.member "schema_version" v with
-  | Some (Json.Int 6) | None ->
+  | Some (Json.Int (6 | 7)) | None ->
       List.iter (require first_run)
         [
           [ "result"; "horizon_hit" ];
@@ -368,6 +370,69 @@ let () =
           | Some n -> fail "run %d: metrics.n_windows %d < 1" ri n
           | None -> fail "run %d: metrics.n_windows missing" ri)
     runs;
+  (* Time series (v7), on every run of a v7 export or a single-run
+     record: derived from the flight recorder's windows, so it carries
+     all six channels with one value per window, its window-end times
+     strictly increase, and each cumulative channel's deltas sum to the
+     recorder's total for the counter it samples ("messages" samples
+     messages_sent). *)
+  let series_channels =
+    [ ("ops", Some "ops"); ("commits", Some "commits"); ("aborts", Some "aborts");
+      ("messages", Some "messages_sent"); ("queue_depth_mean", None);
+      ("link_msgs_max", None) ]
+  in
+  (match Json.member "schema_version" v with
+  | Some (Json.Int 7) | None ->
+      List.iteri
+        (fun ri run ->
+          let floats p =
+            match Json.path p run with
+            | Some (Json.List l) ->
+                List.map
+                  (fun x ->
+                    match Json.to_float_opt x with
+                    | Some f -> f
+                    | None -> fail "run %d: %s: not a number" ri (String.concat "." p))
+                  l
+            | _ -> fail "run %d: missing %s" ri (String.concat "." p)
+          in
+          let times = floats [ "timeseries"; "t_ns" ] in
+          let n = List.length times in
+          if n < 1 then fail "run %d: timeseries has no windows" ri;
+          ignore
+            (List.fold_left
+               (fun prev t ->
+                 if not (t > prev) then
+                   fail "run %d: timeseries.t_ns not strictly increasing (%.0f after %.0f)"
+                     ri t prev;
+                 t)
+               neg_infinity times);
+          List.iter
+            (fun (name, counter) ->
+              let values = floats [ "timeseries"; "channels"; name; "values" ] in
+              if List.length values <> n then
+                fail "run %d: timeseries.%s has %d values for %d windows" ri name
+                  (List.length values) n;
+              match counter with
+              | None -> ()
+              | Some c ->
+                  let total =
+                    match
+                      Option.bind
+                        (Json.path [ "metrics"; "counters"; c; "total" ] run)
+                        Json.to_float_opt
+                    with
+                    | Some f -> f
+                    | None -> fail "run %d: metrics.counters.%s.total missing" ri c
+                  in
+                  let sum = List.fold_left ( +. ) 0.0 values in
+                  if Float.abs (sum -. total) > tolerance *. Float.max (Float.abs total) 1.0
+                  then
+                    fail "run %d: timeseries.%s sums to %.6g, metrics.counters.%s.total is %.6g"
+                      ri name sum c total)
+            series_channels)
+        runs
+  | _ -> ());
   (* Phase-accounting invariant, on every run in the file: the
      instrumentation charges each telescoping segment of a committed
      attempt to exactly one phase, so the sums must reconcile. *)

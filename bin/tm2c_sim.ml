@@ -178,8 +178,8 @@ let fault_plan_conv =
   Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Tm2c_noc.Fault.to_spec p))
 
 let run bench platform cm cores service multitask eager fault_plan timeout_ns
-    lease_ns replicas watchdog_ms trace trace_out json perfetto timeseries_ms
-    metrics_out metrics_window_ms self_profile check streaming history witness
+    lease_ns replicas watchdog_ms trace trace_out json perfetto metrics_out
+    metrics_window_ms self_profile check streaming history witness
     duration_ms seed balance accounts buckets updates elastic size input_kb
     chunk_kb =
   let deployment = if multitask then Runtime.Multitask else Runtime.Dedicated in
@@ -250,17 +250,12 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
     end
     else (None, None, None)
   in
-  if json <> None then begin
-    (* The JSON export carries phase attribution and a time-series, so
-       a plain --json run gets both without extra flags. *)
-    Runtime.enable_profiling t;
-    let window_ms =
-      match timeseries_ms with Some w -> w | None -> duration_ms /. 32.0
-    in
-    Runtime.enable_timeseries t ~window_ns:(window_ms *. 1e6)
-  end;
+  (* The JSON export carries phase attribution, so a plain --json run
+     gets it without extra flags. *)
+  if json <> None then Runtime.enable_profiling t;
   (* Flight recorder: streamed snapshots with --metrics-out, and the
-     in-memory final snapshot whenever the JSON export wants one. *)
+     in-memory final snapshot and time series whenever the JSON export
+     wants them. *)
   let metrics_oc = Option.map open_out metrics_out in
   if metrics_oc <> None || json <> None then begin
     let window_ms =
@@ -269,7 +264,7 @@ let run bench platform cm cores service multitask eager fault_plan timeout_ns
     Runtime.enable_recorder t
       ~window_ns:(window_ms *. 1e6)
       ?out:(Option.map (fun oc -> output_string oc) metrics_oc)
-      ()
+      ~series:(json <> None) ()
   end;
   if self_profile then Runtime.enable_self_profile t ~clock:Unix.gettimeofday;
   Printf.printf "TM2C on %s: %d cores (%d app / %d DTM, %s), %s, %s writes\n\n"
@@ -551,7 +546,8 @@ let cmd =
              ~doc:"Export the full run record (result, per-core stats, \
                    network, DTM, abort causality, per-phase latency \
                    attribution, time-series) as JSON to $(docv). Enables \
-                   profiling and the simulated-time sampler.")
+                   profiling and the flight recorder, whose windows give \
+                   the time-series (see --metrics-window-ms).")
   in
   let perfetto =
     Arg.(value & opt (some string) None
@@ -559,12 +555,6 @@ let cmd =
              ~doc:"Export the event trace as a Chrome trace_event timeline \
                    to $(docv) — open it in ui.perfetto.dev or \
                    chrome://tracing. Implies tracing.")
-  in
-  let timeseries_ms =
-    Arg.(value & opt (some float) None
-         & info [ "timeseries-ms" ] ~docv:"MS"
-             ~doc:"Sampler window in virtual milliseconds for the --json \
-                   time-series (default: duration/32).")
   in
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -652,7 +642,7 @@ let cmd =
     Term.(
       const run $ bench $ platform $ cm $ cores $ service $ multitask $ eager
       $ fault_plan $ timeout_ns $ lease_ns $ replicas $ watchdog_ms $ trace
-      $ trace_out $ json $ perfetto $ timeseries_ms $ metrics_out
+      $ trace_out $ json $ perfetto $ metrics_out
       $ metrics_window_ms $ self_profile $ check $ streaming $ history $ witness
       $ duration $ seed $ balance $ accounts $ buckets $ updates $ elastic
       $ size $ input_kb $ chunk_kb)

@@ -22,8 +22,8 @@ type result = {
 let observer : (Runtime.t -> result -> unit) option ref = ref None
 
 (* Setup hook: called with the runtime before any process is spawned,
-   so a harness can enable profiling / time-series sampling on every
-   run it drives without per-experiment wiring. *)
+   so a harness can enable profiling and the recorder on every run it
+   drives without per-experiment wiring. *)
 let preflight : (Runtime.t -> unit) option ref = ref None
 
 let run_preflight t = match !preflight with Some f -> f t | None -> ()
@@ -112,6 +112,10 @@ let run_to_completion t ?(horizon_ns = 1e13) work =
      also covers service fibers (which block forever by design), so
      only the work functions' own returns witness completion. *)
   let done_workers = ref 0 in
+  let n_workers = Array.length (Runtime.app_cores t) in
+  (* The run's duration is the instant the last worker returned: the
+     clock itself ends at the horizon once the queue drains. *)
+  let completed_at = ref nan in
   Array.iter
     (fun core ->
       let ctx = Runtime.app_ctx t core in
@@ -121,11 +125,17 @@ let run_to_completion t ?(horizon_ns = 1e13) work =
           let cstats = Stats.core stats core in
           cstats.Stats.ops <- cstats.Stats.ops + 1;
           incr done_workers;
-          Runtime.poll_service t ~core))
+          Runtime.poll_service t ~core;
+          if !done_workers = n_workers then begin
+            completed_at := Sim.now sim;
+            (* The recorder's final window closes at completion too. *)
+            Runtime.finish_recorder t
+          end))
     (Runtime.app_cores t);
   let events = Runtime.run t ~until:horizon_ns () in
   (* Work left unfinished means the safety horizon (or the watchdog)
      cut the run short: the reported duration is the horizon, not a
      completion time, and must not be read as one. *)
-  let horizon_hit = !done_workers < Array.length (Runtime.app_cores t) in
-  collect t ~horizon_hit ~events ~duration_ns:(Sim.now sim) ()
+  let horizon_hit = !done_workers < n_workers in
+  let duration_ns = if horizon_hit then Sim.now sim else !completed_at in
+  collect t ~horizon_hit ~events ~duration_ns ()

@@ -34,6 +34,7 @@ type t = {
   mutable n_spawned : int;
   mutable n_finished : int;
   mutable n_elided : int;
+  mutable n_ticks : int; (* recurring ticks now queued (see [every]) *)
   mutable running : bool;
   (* Host-side self-profiler. The clock is *injected* (the engine
      itself never reads wall time — virtual determinism is the
@@ -150,6 +151,7 @@ let create () =
       n_spawned = 0;
       n_finished = 0;
       n_elided = 0;
+      n_ticks = 0;
       running = false;
       host_clock = None;
       prof_s = Array.make (Array.length prof_categories) 0.0;
@@ -239,6 +241,23 @@ let exec t body =
                           continue k v)))
           | _ -> None);
     }
+
+(* A recurring tick consumes no virtual time and must never be what
+   keeps a run alive: it reschedules only while some queued event is
+   not itself a tick. The executing tick is already popped and
+   uncounted, so with one tick queued the test reads "anything else
+   queued at all". *)
+let every t ~period f =
+  if not (period > 0.0) then invalid_arg "Sim.every: period must be positive";
+  let rec tick () =
+    t.n_ticks <- t.n_ticks - 1;
+    if f () && Wheel.length t.events > t.n_ticks then begin
+      t.n_ticks <- t.n_ticks + 1;
+      schedule t ~at:(t.now +. period) tick
+    end
+  in
+  t.n_ticks <- t.n_ticks + 1;
+  schedule t ~at:(t.now +. period) tick
 
 let spawn t ?name f =
   ignore name;
@@ -377,5 +396,3 @@ let spawned t = t.n_spawned
 let finished t = t.n_finished
 
 let elided t = t.n_elided
-
-let pending t = Wheel.length t.events

@@ -81,10 +81,14 @@ val finished : t -> int
     should report. *)
 val elided : t -> int
 
-(** Events currently queued. From inside a callback the count excludes
-    the executing event — a recurring event can use this to detect that
-    it is the only remaining activity and stop rescheduling itself. *)
-val pending : t -> int
+(** [every t ~period f] calls [f] every [period] nanoseconds of
+    virtual time, first at [now t +. period]. A tick consumes no virtual
+    time and never keeps a run alive: it reschedules while [f] returns
+    [true] and some queued event is not itself such a tick, so several
+    recurring samplers stop together once the real work drains. [f]
+    must not perform effects; an exception escaping it aborts
+    {!run}. *)
+val every : t -> period:float -> (unit -> bool) -> unit
 
 (** Host-side self-profiler. The engine never reads wall time itself
     (virtual determinism is the contract the source lint enforces):

@@ -96,24 +96,20 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
                run short of its horizon\n%!"
           end;
           if check then check_run t);
-    (* Every exported run also carries phase attribution and a
-       time-series: the preflight hook fires once per driven runtime,
-       before any process is spawned. 16 windows per throughput run —
-       enough shape to see warm-up and livelock onset without bloating
-       the file. *)
+    (* Every exported run also carries phase attribution, the flight
+       recorder's final snapshot ("metrics") and its time series: the
+       preflight hook fires once per driven runtime, before any
+       process is spawned. 16 windows per throughput run — enough
+       shape to see warm-up and livelock onset without bloating the
+       file. *)
     Tm2c_apps.Workload.preflight :=
       Some
         (fun t ->
           if json <> None then begin
             Tm2c_core.Runtime.enable_profiling t;
-            if Tm2c_core.Runtime.timeseries t = None then
-              Tm2c_core.Runtime.enable_timeseries t
-                ~window_ns:(scale.Exp.window_ns /. 16.0);
-            (* And the flight recorder (same cadence), so every
-               exported run carries a "metrics" final snapshot. *)
             if Tm2c_core.Runtime.recorder t = None then
               Tm2c_core.Runtime.enable_recorder t
-                ~window_ns:(scale.Exp.window_ns /. 16.0) ()
+                ~window_ns:(scale.Exp.window_ns /. 16.0) ~series:true ()
           end;
           if check && not (List.mem_assq t !taps) then begin
             (if streaming then begin
@@ -187,8 +183,11 @@ let run_ids ?json ?(check = false) ?(streaming = true) ids scale =
                gained an "openloop" section (admission / shedding /
                goodput counters and the end-to-end latency sketch,
                present and all-zero with policy "none" on closed-loop
-               runs) and the result gained "horizon_hit". *)
-            ("schema_version", Json.Int 6);
+               runs) and the result gained "horizon_hit". v7: the
+               "timeseries" section is derived from the flight
+               recorder's windows, at its cadence, and may end with a
+               final partial window. *)
+            ("schema_version", Json.Int 7);
             ("scale", Json.String scale.Exp.label);
             ( "experiments",
               Json.List

@@ -276,10 +276,6 @@ let rec path keys v =
   | [] -> Some v
   | k :: rest -> ( match member k v with Some v' -> path rest v' | None -> None)
 
-let to_list_exn = function
-  | List items -> items
-  | _ -> invalid_arg "Json.to_list_exn"
-
 let to_int_opt = function Int i -> Some i | _ -> None
 
 let to_float_opt = function

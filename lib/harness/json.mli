@@ -33,8 +33,6 @@ val member : string -> t -> t option
 (** Nested field lookup: [path ["a"; "b"] v] is [v.a.b]. *)
 val path : string list -> t -> t option
 
-val to_list_exn : t -> t list
-
 val to_int_opt : t -> int option
 
 (** Accepts both [Int] and [Float]. *)

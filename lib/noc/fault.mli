@@ -20,9 +20,6 @@ type link_fault = {
           (later messages on the link may overtake this one) *)
 }
 
-(** All-zero link fault, for building plans by record update. *)
-val no_link : link_fault
-
 type stall = {
   stall_core : int;  (** DS-server core that stops serving *)
   stall_from_ns : float;
@@ -55,8 +52,6 @@ type plan = {
 }
 
 val empty : plan
-
-val plan_is_empty : plan -> bool
 
 type counters = {
   mutable dropped : int;

@@ -8,8 +8,9 @@
    busiest NoC links and top-K abort-blame pairs — emits it through
    [out] in an OpenMetrics-style text format, and then rolls every
    baseline. Nothing is retained per window beyond a handful of
-   scalars, so resident memory is constant in run length (unlike
-   Timeseries, which accumulates one sample per window per channel).
+   scalars, so resident memory is constant in run length — unless the
+   JSON export asks for the time series ([~series:true]), which keeps
+   one row of six values per window.
 
    Producers are untouched: they keep writing the one cumulative
    counter or sketch they always wrote, and the recorder reads deltas
@@ -43,6 +44,28 @@ type server_prev = {
   mutable p_reclaims : int;
 }
 
+(* The per-window time series behind the JSON export. A row holds the
+   cumulative emitted sums of the [series_counters] (differenced into
+   per-window deltas by [series]) followed by the gauges. *)
+type kind = Cumulative | Gauge
+
+let series_channels =
+  [
+    ("ops", Cumulative);
+    ("commits", Cumulative);
+    ("aborts", Cumulative);
+    ("messages", Cumulative);
+    ("queue_depth_mean", Gauge);
+    ("link_msgs_max", Gauge);
+  ]
+
+let series_counters = [ "ops"; "commits"; "aborts"; "messages_sent" ]
+
+type series = {
+  s_counters : counter array;  (* [series_counters], in order *)
+  mutable s_rows : (float * float array) list;  (* (t_ns, row), newest first *)
+}
+
 type t = {
   env : System.env;
   window_ns : float;
@@ -60,6 +83,7 @@ type t = {
   ev_counts : int array;
   ev_prev : int array;
   buf : Buffer.t;
+  series : series option;
   mutable n_windows : int;
   mutable started : bool;
   mutable finished : bool;
@@ -71,7 +95,7 @@ let record_event t ev =
 
 let quantiles = [ (50.0, "0.5"); (90.0, "0.9"); (99.0, "0.99"); (99.9, "0.999") ]
 
-let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
+let create ~env ~window_ns ?out ?(top_k = 8) ?(series = false) ~servers () =
   if window_ns <= 0.0 then invalid_arg "Recorder.create: window_ns must be positive";
   if top_k < 1 then invalid_arg "Recorder.create: top_k must be >= 1";
   let stats = env.System.stats in
@@ -152,6 +176,18 @@ let create ~env ~window_ns ?out ?(top_k = 8) ~servers () =
     ev_counts = Array.make (Array.length Event.names) 0;
     ev_prev = Array.make (Array.length Event.names) 0;
     buf = Buffer.create 4096;
+    series =
+      (if series then
+         Some
+           {
+             s_counters =
+               Array.of_list
+                 (List.map
+                    (fun n -> List.find (fun c -> c.c_name = n) counters)
+                    series_counters);
+             s_rows = [];
+           }
+       else None);
     n_windows = 0;
     started = false;
     finished = false;
@@ -316,6 +352,35 @@ let emit_window t ~t_ns =
         (labels [ ("src", string_of_int src); ("dst", string_of_int dst) ])
         (float_of_int d))
     (top_by t.top_k (fun (_, _, d) -> d) !deltas);
+  (match t.series with
+  | Some s ->
+      let servers = t.servers () in
+      let depth =
+        List.fold_left (fun acc sv -> acc + Network.pending net ~self:(Dtm.core sv)) 0
+          servers
+      in
+      let row =
+        Array.append
+          (Array.map (fun c -> c.c_emitted) s.s_counters)
+          [|
+            (match servers with
+            | [] -> 0.0
+            | _ -> float_of_int depth /. float_of_int (List.length servers));
+            float_of_int (List.fold_left (fun m (_, _, d) -> max m d) 0 !deltas);
+          |]
+      in
+      (* A final window closing on the last tick's instant is merged
+         into it, so times strictly increase. The row's cumulative sums
+         and queue level simply supersede the tick's; the busiest-link
+         count (last) keeps the larger of the two parts. *)
+      s.s_rows <-
+        (match s.s_rows with
+        | (t_prev, prev) :: older when t_prev = t_ns ->
+            let last = Array.length row - 1 in
+            row.(last) <- Float.max row.(last) prev.(last);
+            (t_ns, row) :: older
+        | rows -> (t_ns, row) :: rows)
+  | None -> ());
   (* Top-K abort-blame pairs this window (windowed deltas of the
      always-on Obs causality table). *)
   let blame = ref [] in
@@ -363,18 +428,12 @@ let start t =
       c.c_prev <- v)
     t.counters;
   let sim = t.env.System.sim in
-  (* Timeseries' recurring-event pattern: the tick reschedules itself
-     only while other events are pending, so the recorder never keeps
-     an otherwise-finished simulation alive. *)
-  let rec tick at () =
-    if not t.finished then begin
-      emit_window t ~t_ns:at;
-      if Sim.pending sim > 0 then
-        Sim.schedule sim ~at:(at +. t.window_ns) (tick (at +. t.window_ns))
-    end
-  in
-  let first = Sim.now sim +. t.window_ns in
-  Sim.schedule sim ~at:first (tick first)
+  Sim.every sim ~period:t.window_ns (fun () ->
+      if t.finished then false
+      else begin
+        emit_window t ~t_ns:(Sim.now sim);
+        true
+      end)
 
 let finish t =
   if t.started && not t.finished then begin
@@ -383,8 +442,33 @@ let finish t =
     match t.out with Some out -> out "# eof\n" | None -> ()
   end
 
+(* After [finish] the totals stop at the final window: work that
+   drains after the last worker returned lies outside the recorded
+   span. *)
 let counter_totals t =
-  List.map (fun c -> (c.c_name, c.c_read () -. c.c_start, c.c_emitted)) t.counters
+  List.map
+    (fun c ->
+      let v = if t.finished then c.c_prev else c.c_read () in
+      (c.c_name, v -. c.c_start, c.c_emitted))
+    t.counters
+
+let series t =
+  Option.map
+    (fun s ->
+      let rows = Array.of_list (List.rev s.s_rows) in
+      ( Array.map fst rows,
+        List.mapi
+          (fun i (name, kind) ->
+            ( name,
+              kind,
+              Array.mapi
+                (fun w (_, row) ->
+                  match kind with
+                  | Cumulative when w > 0 -> row.(i) -. (snd rows.(w - 1)).(i)
+                  | Cumulative | Gauge -> row.(i))
+                rows ))
+          series_channels ))
+    t.series
 
 let sketch_totals t = List.map (fun s -> (s.s_name, s.s_sketch)) t.sketches
 

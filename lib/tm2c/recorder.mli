@@ -8,7 +8,8 @@
     gauges, the top-K busiest NoC links and top-K abort-blame pairs —
     emits it through [out] in an OpenMetrics-style text format, and
     rolls every baseline. Nothing is retained per window, so resident
-    memory is constant in run length.
+    memory is constant in run length — unless [~series:true] asks for
+    the JSON time series, one row of six values per window.
 
     Producers keep writing their one cumulative counter or sketch; the
     recorder reads deltas against private baselines. Wire it up with
@@ -17,16 +18,18 @@
 
 type t
 
-(** [create ~env ~window_ns ?out ?top_k ~servers ()] — [out] receives
-    one complete text block per window (omit it to keep only the
-    in-memory aggregates for the JSON export); [servers] supplies the
-    live DTM servers at each tick; [top_k] (default 8) bounds the
-    per-window link and abort-blame listings. *)
+(** [create ~env ~window_ns ?out ?top_k ?series ~servers ()] — [out]
+    receives one complete text block per window (omit it to keep only
+    the in-memory aggregates for the JSON export); [servers] supplies
+    the live DTM servers at each tick; [top_k] (default 8) bounds the
+    per-window link and abort-blame listings; [series] (default
+    [false]) keeps the per-window rows behind {!series}. *)
 val create :
   env:System.env ->
   window_ns:float ->
   ?out:(string -> unit) ->
   ?top_k:int ->
+  ?series:bool ->
   servers:(unit -> Dtm.server list) ->
   unit ->
   t
@@ -39,9 +42,9 @@ val set_sink_high_water : t -> (unit -> int) -> unit
     while tracing is disabled: the recorder never forces tracing on. *)
 val record_event : t -> Event.t -> unit
 
-(** Baseline all counters and schedule the recurring snapshot tick
-    (self-terminating: it stops rescheduling once it is the only
-    pending event). Call before [Runtime.run]. *)
+(** Baseline all counters and start the recurring snapshot tick
+    ({!Tm2c_engine.Sim.every}: it never keeps a finished run alive).
+    Call before [Runtime.run]. *)
 val start : t -> unit
 
 (** Emit the final partial window and a ["# eof"] marker, then stop.
@@ -54,9 +57,26 @@ val window_ns : t -> float
 val n_windows : t -> int
 
 (** [(name, total since start, sum of emitted windowed deltas)] per
-    counter. After {!finish} the two figures are equal — the
-    telescoping invariant validate_json re-checks. *)
+    counter. After {!finish} the total stops at the final window and
+    the two figures are equal — the telescoping invariant
+    validate_json re-checks. *)
 val counter_totals : t -> (string * float * float) list
+
+(** A series channel either carries per-window deltas of a counter or
+    a gauge read at the window's end. *)
+type kind = Cumulative | Gauge
+
+(** The time series kept with [~series:true]: window-end times (a
+    final window that closes on the last tick's instant is merged into
+    it, so times strictly increase) and, per channel, one value per
+    window. The channels are ["ops"], ["commits"], ["aborts"] and
+    ["messages"] (the deltas of the counters named ops, commits,
+    aborts and messages_sent, so each sums to that counter's
+    windowed total), ["queue_depth_mean"] (mean input-queue depth over
+    the DTM servers) and ["link_msgs_max"] (the busiest link's message
+    count in the window; a merged final window keeps the larger of its
+    two parts). [None] without [~series:true]. *)
+val series : t -> (float array * (string * kind * float array) list) option
 
 (** The cumulative latency sketches tracked by the recorder. *)
 val sketch_totals : t -> (string * Tm2c_engine.Sketch.t) list

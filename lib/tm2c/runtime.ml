@@ -42,7 +42,6 @@ type t = {
   root_prng : Prng.t;
   mutable next_spare_reg : int;
   max_reg : int;
-  mutable timeseries : Timeseries.t option;
   mutable recorder : Recorder.t option;
   mutable sink_high_water : (unit -> int) option;
   mutable replicas : int;
@@ -178,7 +177,6 @@ let create cfg =
     root_prng;
     next_spare_reg = Platform.n_cores cfg.platform;
     max_reg = n_regs;
-    timeseries = None;
     recorder = None;
     sink_high_water = None;
     replicas = 0;
@@ -270,9 +268,8 @@ let wedged t = t.wedged
    [stall_windows] consecutive flat windows while spawned fibers are
    still unfinished means the run is wedged (e.g. every client blocked
    on a dead DS server): raise out of [Sim.run] instead of burning
-   virtual time to the horizon. The check reschedules itself only
-   while other events are pending, so it never keeps an
-   otherwise-finished simulation alive. *)
+   virtual time to the horizon. The check is a [Sim.every] tick, so
+   it never keeps an otherwise-finished simulation alive. *)
 let enable_watchdog t ~window_ns ~stall_windows =
   if window_ns <= 0.0 || stall_windows < 1 then
     invalid_arg "Runtime.enable_watchdog: need window_ns > 0 and stall_windows >= 1";
@@ -282,22 +279,19 @@ let enable_watchdog t ~window_ns ~stall_windows =
      blocked forever on a reply produce neither commits nor aborts. *)
   let last_resolved = ref (-1) in
   let flat = ref 0 in
-  let rec check () =
-    let resolved =
-      Stats.total_commits t.env.System.stats
-      + Stats.total_aborts t.env.System.stats
-    in
-    if resolved = !last_resolved && Sim.spawned t.sim > Sim.finished t.sim
-    then begin
-      incr flat;
-      if !flat >= stall_windows then raise Wedged
-    end
-    else flat := 0;
-    last_resolved := resolved;
-    if Sim.pending t.sim > 0 then
-      Sim.schedule t.sim ~at:(Sim.now t.sim +. window_ns) check
-  in
-  Sim.schedule t.sim ~at:window_ns check
+  Sim.every t.sim ~period:window_ns (fun () ->
+      let resolved =
+        Stats.total_commits t.env.System.stats
+        + Stats.total_aborts t.env.System.stats
+      in
+      if resolved = !last_resolved && Sim.spawned t.sim > Sim.finished t.sim
+      then begin
+        incr flat;
+        if !flat >= stall_windows then raise Wedged
+      end
+      else flat := 0;
+      last_resolved := resolved;
+      true)
 
 (* Host-side store with a trace record: benchmark setup (populate)
    and weak-atomicity private-node initialization go through here so
@@ -319,56 +313,6 @@ let enable_profiling t =
   Span.enable t.env.System.span_commit;
   Span.enable t.env.System.span_abort
 
-let timeseries t = t.timeseries
-
-(* Install and start the simulated-time sampler. Channels:
-   - ops/commits/aborts/messages: per-window deltas of the always-on
-     cumulative counters (throughput and abort-rate curves);
-   - queue_depth_mean: instantaneous mean DTM input-queue depth;
-   - link_msgs_max: the busiest link's per-window message count (the
-     per-link delta is computed against a private snapshot of the
-     link matrix, so the always-on counters stay untouched). *)
-let enable_timeseries t ~window_ns =
-  if t.timeseries <> None then
-    invalid_arg "Runtime.enable_timeseries: already enabled";
-  let ts = Timeseries.create ~window_ns in
-  let stats = t.env.System.stats in
-  let net = t.env.System.net in
-  Timeseries.add_channel ts ~name:"ops" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_ops stats));
-  Timeseries.add_channel ts ~name:"commits" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_commits stats));
-  Timeseries.add_channel ts ~name:"aborts" Timeseries.Cumulative (fun () ->
-      float_of_int (Stats.total_aborts stats));
-  Timeseries.add_channel ts ~name:"messages" Timeseries.Cumulative (fun () ->
-      float_of_int (Network.sent net));
-  Timeseries.add_channel ts ~name:"queue_depth_mean" Timeseries.Gauge (fun () ->
-      let n = Array.length t.dtm_cores in
-      if n = 0 then 0.0
-      else begin
-        let sum = ref 0 in
-        Array.iter
-          (fun core -> sum := !sum + Network.pending net ~self:core)
-          t.dtm_cores;
-        float_of_int !sum /. float_of_int n
-      end);
-  let links = (Network.metrics net).Network.per_link in
-  let prev = Array.map Array.copy links in
-  Timeseries.add_channel ts ~name:"link_msgs_max" Timeseries.Gauge (fun () ->
-      let worst = ref 0 in
-      Array.iteri
-        (fun src row ->
-          Array.iteri
-            (fun dst c ->
-              let d = c - prev.(src).(dst) in
-              prev.(src).(dst) <- c;
-              if d > !worst then worst := d)
-            row)
-        links;
-      float_of_int !worst);
-  Timeseries.start ts t.sim;
-  t.timeseries <- Some ts
-
 (* Checker-sink high-water mark: the harness installs a reader over
    whatever collector it attaches (the runtime cannot name the checker
    library without a dependency cycle). *)
@@ -383,13 +327,14 @@ let recorder t = t.recorder
    bounded-memory metrics snapshots on a simulated-time cadence,
    optionally streamed as OpenMetrics-style text through [out]. Trace
    events are counted through the trace's second tap, so the checker
-   stack keeps exclusive ownership of the primary sink. Call before
-   [run]; at most once. *)
-let enable_recorder t ~window_ns ?out ?top_k () =
+   stack keeps exclusive ownership of the primary sink. [series]
+   keeps the per-window time series the JSON export carries. Call
+   before [run]; at most once. *)
+let enable_recorder t ~window_ns ?out ?top_k ?series () =
   if t.recorder <> None then
     invalid_arg "Runtime.enable_recorder: already enabled";
   let r =
-    Recorder.create ~env:t.env ~window_ns ?out ?top_k
+    Recorder.create ~env:t.env ~window_ns ?out ?top_k ?series
       ~servers:(fun () ->
         Array.to_list t.dtm_cores
         |> List.filter_map (fun core -> Hashtbl.find_opt t.servers core))

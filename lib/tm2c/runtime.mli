@@ -135,15 +135,6 @@ val span_abort : t -> Tm2c_engine.Span.t
 (** Turn on per-attempt phase attribution. *)
 val enable_profiling : t -> unit
 
-(** The simulated-time sampler, once {!enable_timeseries} has run. *)
-val timeseries : t -> Tm2c_engine.Timeseries.t option
-
-(** Install and start a windowed sampler driven by simulated time
-    (channels: ops, commits, aborts, messages per window; mean DTM
-    queue depth; busiest-link message count). Call before {!run};
-    at most once. *)
-val enable_timeseries : t -> window_ns:float -> unit
-
 (** The flight recorder, once {!enable_recorder} has run. *)
 val recorder : t -> Recorder.t option
 
@@ -151,11 +142,19 @@ val recorder : t -> Recorder.t option
     bounded-memory metrics snapshots every [window_ns] of virtual
     time, optionally streamed as OpenMetrics-style text blocks through
     [out]; [top_k] bounds the per-window link and abort-blame
-    listings. Trace events are counted through the trace's second tap
-    ([Trace.set_tap]), leaving the primary sink to the checker stack.
-    Call before {!run}; at most once. *)
+    listings; [series] (default [false]) keeps the per-window time
+    series of {!Recorder.series} for the JSON export. Trace events are
+    counted through the trace's second tap ([Trace.set_tap]), leaving
+    the primary sink to the checker stack. Call before {!run}; at most
+    once. *)
 val enable_recorder :
-  t -> window_ns:float -> ?out:(string -> unit) -> ?top_k:int -> unit -> unit
+  t ->
+  window_ns:float ->
+  ?out:(string -> unit) ->
+  ?top_k:int ->
+  ?series:bool ->
+  unit ->
+  unit
 
 (** Emit the recorder's final partial window ("# eof"-terminated).
     Idempotent; a no-op when no recorder is installed. The workload

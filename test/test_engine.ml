@@ -375,6 +375,56 @@ let test_sim_until_drain_clamp () =
   let _ = Sim.run sim ~until:250.0 () in
   check_float "advances across an empty window" 250.0 (Sim.now sim)
 
+(* Recurring ticks never keep a run alive: a tick alone fires once and
+   stops, and two ticks sampling a finite process both stop once the
+   process ends — neither counts the other as pending work. The
+   process increments at 50, 100, ..., 250; the 100 ns sampler's
+   per-window deltas partition those increments (the edge increment at
+   100 was queued after the tick, so it lands in the second window). *)
+let test_sim_every_stops () =
+  let sim = Sim.create () in
+  let alone = ref 0 in
+  Sim.every sim ~period:100.0 (fun () ->
+      incr alone;
+      true);
+  ignore (Sim.run sim ());
+  check_int "a lone tick fires once" 1 !alone;
+  check_float "clock did not run away" 100.0 (Sim.now sim);
+  let sim = Sim.create () in
+  let counter = ref 0 and prev = ref 0 in
+  let times = ref [] and deltas = ref [] and fast = ref 0 in
+  Sim.every sim ~period:100.0 (fun () ->
+      times := Sim.now sim :: !times;
+      deltas := (!counter - !prev) :: !deltas;
+      prev := !counter;
+      true);
+  Sim.every sim ~period:30.0 (fun () ->
+      incr fast;
+      true);
+  Sim.spawn sim (fun () ->
+      for _ = 1 to 5 do
+        Sim.delay 50.0;
+        incr counter
+      done);
+  (* Bounded, so ticks that kept each other alive fail the counts
+     below instead of hanging the suite. *)
+  ignore (Sim.run sim ~until:1e6 ());
+  Alcotest.(check (list (float 0.0)))
+    "window-end times" [ 100.0; 200.0; 300.0 ] (List.rev !times);
+  Alcotest.(check (list int)) "per-window deltas" [ 1; 2; 2 ] (List.rev !deltas);
+  check_int "deltas conserve the total" !counter
+    (List.fold_left ( + ) 0 !deltas);
+  check_int "fast tick stopped after the process" 9 !fast;
+  (* A tick whose callback returns false stops at once. *)
+  let sim = Sim.create () in
+  let n = ref 0 in
+  Sim.every sim ~period:10.0 (fun () ->
+      incr n;
+      !n < 3);
+  Sim.spawn sim (fun () -> Sim.delay 1000.0);
+  ignore (Sim.run sim ());
+  check_int "stopped by its callback" 3 !n
+
 let test_sim_nested_spawn () =
   let sim = Sim.create () in
   let hits = ref 0 in
@@ -582,6 +632,7 @@ let suite =
     ("sim: spawn counts", `Quick, test_sim_spawn_counts);
     ("sim: until horizon", `Quick, test_sim_until_horizon);
     ("sim: until clamps after drain", `Quick, test_sim_until_drain_clamp);
+    ("sim: recurring ticks stop once the work ends", `Quick, test_sim_every_stops);
     ("sim: nested spawn", `Quick, test_sim_nested_spawn);
     ("sim: suspend/resume", `Quick, test_sim_suspend_resume);
     ("sim: effects outside process", `Quick, test_sim_outside_process);

@@ -1,5 +1,6 @@
-(* The analysis layer: phase attribution (Span), the simulated-time
-   sampler (Timeseries), and the Perfetto timeline exporter. *)
+(* The analysis layer: phase attribution (Span), the time series the
+   flight recorder keeps for the JSON export, and the Perfetto timeline
+   exporter. *)
 
 open Tm2c_engine
 open Tm2c_core
@@ -78,53 +79,70 @@ let test_span_disabled () =
   done;
   check_int "nothing accumulated when disabled" 0 !total
 
-(* ---- time-series sampler ---- *)
+(* ---- time series ---- *)
 
-(* Window-boundary exactness: increments at 50/100/150/200/250 with a
-   100ns window. Ticks fire at 100/200/300; the simulator's FIFO
-   tie-break puts the first edge increment after tick 1 (the tick was
-   scheduled earlier) and the second edge increment before tick 2 (it
-   was scheduled before the tick existed) — either way each edge event
-   lands in exactly ONE window, because consecutive deltas of one
-   counter partition its growth. *)
-let test_timeseries_windows () =
-  let sim = Sim.create () in
-  let counter = ref 0 in
-  let ts = Timeseries.create ~window_ns:100.0 in
-  Timeseries.add_channel ts ~name:"count" Timeseries.Cumulative (fun () ->
-      float_of_int !counter);
-  Timeseries.add_channel ts ~name:"level" Timeseries.Gauge (fun () ->
-      float_of_int !counter);
-  Timeseries.start ts sim;
+(* The JSON time series comes from the recorder's windows. Each
+   cumulative channel's per-window deltas partition the counter's
+   growth, so they sum to the recorder's total for that counter (an
+   event on a window edge lands in exactly one window), and window-end
+   times strictly increase even though the final partial window of a
+   horizon run closes on the last tick's instant. *)
+let test_series_sums () =
+  let open Tm2c_apps in
+  let cfg = Exp.config ~total:8 ~policy:Cm.Fair_cm () in
+  let t = Runtime.create cfg in
+  Runtime.enable_recorder t ~window_ns:1e5 ~series:true ();
+  let bank = Bank.create t ~accounts:32 ~initial:1000 in
+  let r = Workload.drive t ~duration_ns:1.5e6 (Exp.bank_mix bank ~balance:20) in
+  let rec_ = Option.get (Runtime.recorder t) in
+  let times, channels = Option.get (Recorder.series rec_) in
+  let n = Array.length times in
+  check "one window per tick" true (n >= 15);
+  Array.iteri
+    (fun i at ->
+      if i > 0 && not (at > times.(i - 1)) then
+        Alcotest.failf "window %d ends at %g, not after %g" i at times.(i - 1))
+    times;
+  check "last window ends at the horizon" true (times.(n - 1) = 1.5e6);
+  let total name =
+    match
+      List.find_opt (fun (c, _, _) -> c = name) (Recorder.counter_totals rec_)
+    with
+    | Some (_, v, _) -> v
+    | None -> Alcotest.failf "counter %s missing" name
+  in
   List.iter
-    (fun at -> Sim.schedule sim ~at (fun () -> incr counter))
-    [ 50.0; 100.0; 150.0; 200.0; 250.0 ];
-  ignore (Sim.run sim ());
-  (* The sampler stopped itself once it was alone (Sim.run returned at
-     all), after the window covering the last increment. *)
-  check_int "windows" 3 (Timeseries.n_windows ts);
-  Alcotest.(check (array (float 0.0)))
-    "window-end times" [| 100.0; 200.0; 300.0 |] (Timeseries.times ts);
-  (match Timeseries.channels ts with
-  | [ ("count", Timeseries.Cumulative, deltas); ("level", Timeseries.Gauge, levels) ]
-    ->
-      Alcotest.(check (array (float 0.0))) "per-window deltas" [| 1.0; 3.0; 1.0 |] deltas;
-      check "deltas conserve the total" true
-        (Array.fold_left ( +. ) 0.0 deltas = float_of_int !counter);
-      Alcotest.(check (array (float 0.0))) "gauge levels" [| 1.0; 4.0; 5.0 |] levels
-  | _ -> Alcotest.fail "unexpected channel shape");
-  check_int "all increments ran" 5 !counter
-
-(* A sampler on an otherwise-empty simulation records nothing and does
-   not keep the run alive. *)
-let test_timeseries_idle () =
-  let sim = Sim.create () in
-  let ts = Timeseries.create ~window_ns:100.0 in
-  Timeseries.add_channel ts ~name:"x" Timeseries.Gauge (fun () -> 0.0);
-  Timeseries.start ts sim;
-  ignore (Sim.run sim ());
-  check_int "one window then stop" 1 (Timeseries.n_windows ts);
-  check "clock did not run away" true (Sim.now sim <= 100.0)
+    (fun (name, kind, values) ->
+      check_int (name ^ ": one value per window") n (Array.length values);
+      match kind with
+      | Recorder.Cumulative ->
+          let counter = if name = "messages" then "messages_sent" else name in
+          Alcotest.(check (float 0.0))
+            (name ^ ": deltas sum to the counter total")
+            (total counter)
+            (Array.fold_left ( +. ) 0.0 values)
+      | Recorder.Gauge ->
+          check (name ^ ": gauge non-negative") true
+            (Array.for_all (fun v -> v >= 0.0) values))
+    channels;
+  Alcotest.(check (list string))
+    "channel names"
+    [ "ops"; "commits"; "aborts"; "messages"; "queue_depth_mean"; "link_msgs_max" ]
+    (List.map (fun (name, _, _) -> name) channels);
+  check_int "commits channel = result" r.Workload.commits
+    (int_of_float (total "commits"));
+  check "traffic seen on some link" true
+    (List.exists
+       (fun (name, _, values) ->
+         name = "link_msgs_max" && Array.exists (fun v -> v > 0.0) values)
+       channels);
+  (* Without [~series:true] the recorder keeps nothing per window. *)
+  let t = Runtime.create cfg in
+  Runtime.enable_recorder t ~window_ns:1e5 ();
+  let bank = Bank.create t ~accounts:32 ~initial:1000 in
+  ignore (Workload.drive t ~duration_ns:1.5e6 (Exp.bank_mix bank ~balance:20));
+  check "no series kept by default" true
+    (Recorder.series (Option.get (Runtime.recorder t)) = None)
 
 (* ---- Perfetto export ---- *)
 
@@ -207,7 +225,7 @@ let test_run_json_v2 () =
   let cfg = Exp.config ~total:8 ~policy:Cm.Fair_cm () in
   let t = Runtime.create cfg in
   Runtime.enable_profiling t;
-  Runtime.enable_timeseries t ~window_ns:1e5;
+  Runtime.enable_recorder t ~window_ns:1e5 ~series:true ();
   let bank = Bank.create t ~accounts:32 ~initial:1000 in
   let r = Workload.drive t ~duration_ns:1.5e6 (Exp.bank_mix bank ~balance:20) in
   let v = Json.of_string (Json.to_string (Report.run_json t r)) in
@@ -228,8 +246,7 @@ let suite =
   [
     ("span: committed phase sums = attempt totals", `Quick, test_span_invariant);
     ("span: disabled by default", `Quick, test_span_disabled);
-    ("timeseries: edge events land in one window", `Quick, test_timeseries_windows);
-    ("timeseries: stops when alone", `Quick, test_timeseries_idle);
+    ("series: window deltas sum to the counter totals", `Quick, test_series_sums);
     ("perfetto: traced run validates", `Quick, test_perfetto_valid);
     ("perfetto: validator rejects malformed docs", `Quick, test_perfetto_rejects);
     ("export: v2 run sections", `Quick, test_run_json_v2);

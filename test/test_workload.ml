@@ -112,6 +112,47 @@ let test_run_to_completion_counts_workers () =
   in
   check_int "one op per worker" (Array.length (Runtime.app_cores t)) r.Workload.ops
 
+(* The reported duration of a completion run is the instant the last
+   worker returned, not the safety horizon the clock ends on: a 64 KB
+   MapReduce takes well under a virtual second, and 15 workers beat
+   the sequential baseline. *)
+let test_run_to_completion_duration () =
+  let open Tm2c_harness in
+  let par = Fig6.parallel_duration_ms ~size_kb:64 ~total:16 () in
+  let seq = Fig6.sequential_duration_ms ~size_kb:64 () in
+  check "duration below one virtual second" true (par > 0.0 && par < 1000.0);
+  check "parallel run beats the sequential one" true (seq /. par > 1.0)
+
+(* A completion run with the recorder and the watchdog both ticking
+   ends when its work does: the last worker finishes the recorder, and
+   [Sim.every] never lets two ticks keep each other alive, so a
+   watchdog window longer than any compute phase never sees the idle
+   service fibers as a wedge. The recorder's final window closes at
+   completion. *)
+let test_run_to_completion_sampled () =
+  let c = { (cfg ()) with total_cores = 16; service_cores = 1 } in
+  let t = Runtime.create c in
+  Runtime.enable_watchdog t ~window_ns:3e7 ~stall_windows:3;
+  Runtime.enable_recorder t ~window_ns:1e5 ~series:true ();
+  let mr = Mapreduce.create t ~seed:7 ~input_bytes:(64 * 1024) ~chunk_bytes:8192 in
+  let r =
+    Workload.run_to_completion t (fun _core ctx _prng -> Mapreduce.worker ctx mr)
+  in
+  check "not wedged" false (Runtime.wedged t);
+  check "every worker finished" false r.Workload.horizon_hit;
+  check "histogram exact" true (Mapreduce.histogram mr = Mapreduce.expected_histogram mr);
+  let rec_ = Option.get (Runtime.recorder t) in
+  let times, _ = Option.get (Recorder.series rec_) in
+  Alcotest.(check (float 1e-6))
+    "final window closes at completion" r.Workload.duration_ms
+    (times.(Array.length times - 1) /. 1e6);
+  List.iter
+    (fun (name, total, emitted) ->
+      if total <> emitted then
+        Alcotest.failf "counter %s: windowed sum %.1f <> total %.1f" name emitted
+          total)
+    (Recorder.counter_totals rec_)
+
 let suite =
   [
     ("stats: empty", `Quick, test_stats_empty);
@@ -122,4 +163,8 @@ let suite =
     QCheck_alcotest.to_alcotest conservation_over_seeds;
     ("drive_seq: no messages, conserved", `Quick, test_seq_driver);
     ("run_to_completion: one op per worker", `Quick, test_run_to_completion_counts_workers);
+    ("run_to_completion: duration is the completion time", `Quick,
+     test_run_to_completion_duration);
+    ("run_to_completion: recorder and watchdog stop with the work", `Quick,
+     test_run_to_completion_sampled);
   ]
